@@ -54,11 +54,11 @@ def _render(letters) -> str:
     return " ".join(letters)
 
 
-def _head(args, text: str, params: list[tuple[str, object]]) -> list[str]:
+def _head(args, text: str) -> list[str]:
     digest = hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
     lines = [f"command: {args.command}", f"input: sha256:{digest}"]
-    for key, value in params:
-        lines.append(f"{key}: {value}")
+    for flag in _SIGNATURES[args.command]:
+        lines.append(f"{flag}: {getattr(args, flag)}")
     if getattr(args, "seed", None) is not None:
         lines.append(f"seed: {args.seed}")
     return lines
@@ -309,6 +309,12 @@ _SIGNATURES: dict[str, dict[str, object]] = {
 }
 
 
+# least usable value of each numeric flag (jsymbol and lambda also take
+# --depth 0, no levels); a smaller value is a flag error, exit 2
+_LEAST = {"cap": 1, "depth": 1, "radius": 0, "steps": 0}
+_LEAST_BY_COMMAND = {("jsymbol", "depth"): 0, ("lambda", "depth"): 0}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="adicshift",
@@ -332,28 +338,26 @@ def _build_parser() -> argparse.ArgumentParser:
 def run(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        for flag, least in _LEAST.items():
+            least = _LEAST_BY_COMMAND.get((args.command, flag), least)
+            if getattr(args, flag, least) < least:
+                raise ValueError(f"--{flag} must be >= {least}")
         s, text = _load(args.sub)
     except _INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    # raw DOT has no report head: the text must feed graphviz directly
     raw_dot = (args.command == "export"
                or getattr(args, "format", "report") == "dot")
-    if raw_dot:
-        # raw DOT: no report head, the text must feed graphviz directly
-        try:
-            print(args.handler(s, args)[0])
-        except _DOMAIN_ERRORS as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 3
-        return 0
-    params = [(flag, getattr(args, flag.replace("-", "_")))
-              for flag in _SIGNATURES[args.command]]
-    lines = _head(args, text, params)
+    lines = [] if raw_dot else _head(args, text)
     try:
         lines.extend(args.handler(s, args))
     except _DOMAIN_ERRORS as exc:
-        lines.append(f"error: {exc}")
-        print("\n".join(lines))
+        if raw_dot:
+            print(f"error: {exc}", file=sys.stderr)
+        else:
+            lines.append(f"error: {exc}")
+            print("\n".join(lines))
         return 3
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -36,6 +36,7 @@ from .words import (
     Substitution,
     Unbounded,
     Word,
+    _downward,
     _windows,
     classify_letters,
     factor_language,
@@ -92,11 +93,9 @@ class MarkedWord:
         return len(self.counted_block)
 
 
-def _marked_from_letters(w, long_set, starts_long) -> MarkedWord | None:
-    longs = [i for i, a in enumerate(w) if a in long_set]
-    if len(longs) != 3 or longs[0] != 0 or longs[2] != len(w) - 1:
-        return None
-    i, j, k = longs
+def _marked_from_letters(w, long_set, starts_long) -> MarkedWord:
+    # w holds exactly three long letters, one at each end
+    i, j, k = (t for t, a in enumerate(w) if a in long_set)
     return MarkedWord(w[i], tuple(w[i + 1:j]), w[j], tuple(w[j + 1:k]),
                       w[k], starts_long)
 
@@ -121,13 +120,12 @@ def nesting_vocabulary(s: Substitution) -> list[MarkedWord]:
         raise UnboundedShorts(
             f"all-short factors keep growing past length {bound.cap}")
     long_set = set(cls.long)
-    lang = factor_language(s, 2 * bound + 1)
-    out = []
-    for w in sorted_words(s, lang.factors):
-        mw = _marked_from_letters(w, long_set, starts_long)
-        if mw is not None:
-            out.append(mw)
-    return out
+    long_enc = set(s.encode(cls.long))
+    kept = (s.decode(w) for w in factor_language(s, 2 * bound + 1).encoded
+            if w[0] in long_enc and w[-1] in long_enc
+            and sum(c in long_enc for c in w) == 3)
+    return [_marked_from_letters(w, long_set, starts_long)
+            for w in sorted_words(s, kept)]
 
 
 def _runs_start(s: Substitution, letters, long_set):
@@ -318,7 +316,9 @@ def _grown_factors(s: Substitution, seed: tuple[str, ...], cap: int,
                    steps: int = 1):
     """All factors (length <= cap) of every steps-fold iterate of `seed`,
     via the bounded-window transfer map; exact for the same reason
-    factor_language is, and includes the seed word itself.
+    factor_language is, and includes the seed word itself.  The factors
+    are returned encoded (Substitution.encode), closed downward in time
+    linear in their number.
 
     The power sigma^steps is never materialised: windows are pushed through
     sigma one application at a time, tagged with their step count mod steps,
@@ -339,31 +339,26 @@ def _grown_factors(s: Substitution, seed: tuple[str, ...], cap: int,
                 work.append((w, phase))
                 if phase == 0:
                     total.add(w)
-    out: set[tuple[str, ...]] = set()
-    for enc in total:
-        for i in range(len(enc)):
-            for j in range(i + 1, min(len(enc), i + cap) + 1):
-                out.add(s.decode(enc[i:j]))
-    return frozenset(out)
+    return frozenset(_downward(total, cap))
 
 
 def _junction_ok(s: Substitution, power: int, r: str, l: str, factors,
                  cap: int) -> bool:
     """Does the two-sided point glued from r's left tail and l's right tail
-    stay inside `factors`?  Checks the windows that straddle the junction;
-    the two one-sided tails are checked separately by the caller.
+    stay inside the encoded `factors`?  Checks the windows that straddle the
+    junction; the two one-sided tails are checked separately by the caller.
 
     Tails grow under sigma^power, applied one sigma at a time and re-clipped
     (a suffix expands to a suffix, a prefix to a prefix), so long periods
     never materialise huge images.
     """
-    tail, head = (r,), (l,)
+    tail, head = s.encode((r,)), s.encode((l,))
     for _ in range(cap * (len(s.alphabet) + 2)):
         if len(tail) >= cap and len(head) >= cap:
             break
         for _ in range(power):
-            tail = s.apply(tail)[-cap:]
-            head = s.apply(head)[:cap]
+            tail = tail.translate(s._table)[-cap:]
+            head = head.translate(s._table)[:cap]
     combined = tail + head
     mid = len(tail)
     for i in range(len(combined)):
@@ -426,7 +421,7 @@ def minimal_components(s: Substitution, scale: int = 8):
         for r, pr in left_candidates:
             for l, pl in g:
                 p = lcm(pr, pl)
-                if (r, l) not in component_factors:
+                if s.encode((r, l)) not in component_factors:
                     continue
                 if not _grown_factors(s, (r,), scale, p) <= component_factors:
                     continue
@@ -529,18 +524,21 @@ def return_words(s: Substitution, scale: int) -> ReturnWordSystem:
         if not progressed:
             break
 
-    lang = factor_language(s, scale + 2)
-    left_context = {l: r for r, l in pairs}
+    lang = factor_language(s, scale + 2).encoded
+    enc = s._enc
+    left_context = {enc[l]: enc[r] for r, l in pairs}
     right_contexts: dict[str, list[str]] = {}
     for r, l in pairs:
-        right_contexts.setdefault(r, []).append(l)
-    for w in sorted_words(s, (u for u in lang.factors if len(u) <= scale)):
-        if w in seen or w[0] not in left_context or w[-1] not in right_contexts:
-            continue
-        if any((w[t], w[t + 1]) in markers for t in range(len(w) - 1)):
-            continue
-        before = (left_context[w[0]],)
-        if any(before + w + (after,) in lang for after in right_contexts[w[-1]]):
+        right_contexts.setdefault(enc[r], []).append(enc[l])
+    enc_markers = [enc[r] + enc[l] for r, l in pairs]
+    found = (
+        s.decode(w) for w in lang
+        if len(w) <= scale and w[0] in left_context
+        and w[-1] in right_contexts and not any(m in w for m in enc_markers)
+        and any(left_context[w[0]] + w + after in lang
+                for after in right_contexts[w[-1]]))
+    for w in sorted_words(s, found):
+        if w not in seen:
             seen.add(w)
             vocabulary.append(w)
     return ReturnWordSystem(pairs, power, tuple(vocabulary))
@@ -591,10 +589,9 @@ def is_proper(s: Substitution, p_max: int):
     lang2 = factor_language(s, 2)
     right_of = {a: set() for a in s.alphabet}
     left_of = {a: set() for a in s.alphabet}
-    for w in lang2.factors:
-        if len(w) == 2:
-            right_of[w[0]].add(w[1])
-            left_of[w[1]].add(w[0])
+    for a, b in map(s.decode, (w for w in lang2.encoded if len(w) == 2)):
+        right_of[a].add(b)
+        left_of[b].add(a)
     first = {a: s.image(a)[0] for a in s.alphabet}
     last = {a: s.image(a)[-1] for a in s.alphabet}
     fp, lp = dict(first), dict(last)
@@ -698,9 +695,10 @@ def is_m_primitive(s: Substitution, scale: int = 8):
             return NotMPrimitive(f"letter {a!r} never occurs in the language")
     for k in (2, 3):
         power_lang = factor_language(s.power(k), scale)
-        missing = [w for w in lang.factors if w not in power_lang]
+        # s.power(k) keeps the alphabet order, hence the encoding
+        missing = lang.encoded - power_lang.encoded
         if missing:
-            sample = "".join(sorted_words(s, missing)[0])
+            sample = "".join(sorted_words(s, map(s.decode, missing))[0])
             return NotMPrimitive(
                 f"power {k} loses the factor {sample!r} at scale {scale}")
 

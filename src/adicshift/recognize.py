@@ -10,6 +10,7 @@ ones an ambiguity report.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 
 from .errors import WindowTooShort
 from .words import (
@@ -51,20 +52,18 @@ class Tiling:
         return full[self.offset:self.offset + self.length]
 
 
-def _parent_in_language(s: Substitution, parent) -> bool:
-    # membership at cap |parent|; computed against a bucketed cap (next
+def _parent_in_language(s: Substitution, parent: str) -> bool:
+    # encoded membership at cap |parent|, against a bucketed cap (next
     # multiple of 8) so repeated queries share one cached language -- the
     # answer is identical by the cap-filter consistency of factor_language
     bucket = max(8, -(-len(parent) // 8) * 8)
-    return parent in factor_language(s, bucket).factors
+    return parent in factor_language(s, bucket).encoded
 
 
 def _tile_boundaries(s: Substitution, parent, offset):
     """Tile boundary positions in window coordinates; first entry <= 0."""
-    bounds = [-offset]
-    for a in parent:
-        bounds.append(bounds[-1] + len(s.image(a)))
-    return bounds
+    images = map(s.images.__getitem__, map(s._index.__getitem__, parent))
+    return list(accumulate(map(len, images), initial=-offset))
 
 
 def one_word_tilings(s: Substitution, window, interior_only: bool = False):
@@ -74,70 +73,60 @@ def one_word_tilings(s: Substitution, window, interior_only: bool = False):
     Parents are validated against the factor language at cap |parent| --
     except when the substitution never expands (max norm 1), where the
     language contains no multi-letter words and the check is meaningless.
-    Result order: (first cut position, parent in alphabet indices).
+    The walk runs on the encoded window with an explicit stack, so parents
+    come out encoded and long windows never meet the recursion limit.
+    Result order: (first cut position, parent in alphabet indices); the
+    encoded parents sort in that order, as codes follow the alphabet.
     """
-    letters = as_letters(s, window)
-    n = len(letters)
+    word = s.encode(as_letters(s, window))
+    n = len(word)
     if n == 0:
         raise ValueError("window must be nonempty")
-    images = {a: s.image(a) for a in s.alphabet}
-    found: set[tuple[tuple[str, ...], int]] = set()
+    images = dict(zip(s.encode(s.alphabet), s._images_enc))
+    starting = {c: [(a, img) for a, img in images.items() if img[0] == c]
+                for c in images}   # images by their first letter
+    found: set[tuple[str, int]] = set()
 
+    # partial covers (next position, encoded parent, offset in first tile)
     if interior_only:
-        def walk_exact(pos, parent):
-            if pos == n:
-                found.add((tuple(parent), 0))
-                return
-            for a, img in images.items():
-                if letters[pos:pos + len(img)] == img:
-                    parent.append(a)
-                    walk_exact(pos + len(img), parent)
-                    parent.pop()
-
-        walk_exact(0, [])
+        stack = [(0, "", 0)]
     else:
-        # single-tile covers: the window sits anywhere inside one image
+        stack = []
         for a, img in images.items():
-            for off in range(len(img) - n + 1):
-                if img[off:off + n] == letters:
-                    found.add(((a,), off))
-
-        # multi-tile covers: clipped-or-full first tile, exact middles,
-        # clipped-or-full last tile
-        def walk(pos, parent, offset0):
-            for a, img in images.items():
-                end = pos + len(img)
+            for offset in range(len(img)):
+                k = len(img) - offset
+                if k >= n:
+                    # single-tile cover: the window sits inside one image
+                    if img.startswith(word, offset):
+                        found.add((a, offset))
+                elif word.startswith(img[offset:]):
+                    stack.append((k, a, offset))
+    # exact middle tiles, then an exact or (unless interior_only) clipped
+    # last tile
+    while stack:
+        pos, parent, offset = stack.pop()
+        for a, img in starting[word[pos]]:
+            end = pos + len(img)
+            if word.startswith(img, pos):
                 if end < n:
-                    if letters[pos:end] == img:
-                        parent.append(a)
-                        walk(end, parent, offset0)
-                        parent.pop()
-                elif end == n:
-                    if letters[pos:] == img:
-                        found.add((tuple(parent + [a]), offset0))
-                elif img[:n - pos] == letters[pos:]:
-                    found.add((tuple(parent + [a]), offset0))
+                    stack.append((end, parent + a, offset))
+                else:
+                    found.add((parent + a, offset))
+            elif not interior_only and end > n and img.startswith(word[pos:]):
+                found.add((parent + a, offset))
 
-        for first, img in images.items():
-            for offset0 in range(len(img)):
-                k = len(img) - offset0
-                if k < n and img[offset0:] == letters[:k]:
-                    walk(k, [first], offset0)
-
-    if norms(s, 1)[1] > 1:
+    if max(map(len, images.values())) > 1:
         found = {(p, off) for (p, off) in found if _parent_in_language(s, p)}
 
     tilings = []
-    for parent, offset in found:
-        bounds = _tile_boundaries(s, parent, offset)
+    for parent, offset in sorted(
+            found, key=lambda f: (len(images[f[0][0]]) - f[1], f[0])):
+        letters = s.decode(parent)
+        bounds = _tile_boundaries(s, letters, offset)
         cuts = tuple(b for b in bounds if 0 <= b <= n)
         left = min(bounds[1], n) - max(bounds[0], 0)
         right = min(bounds[-1], n) - max(bounds[-2], 0)
-        tilings.append(Tiling(parent, offset, n, (left, right), cuts))
-
-    index = {a: i for i, a in enumerate(s.alphabet)}
-    tilings.sort(key=lambda t: (len(images[t.parent[0]]) - t.offset,
-                                tuple(index[a] for a in t.parent)))
+        tilings.append(Tiling(letters, offset, n, (left, right), cuts))
     return tilings
 
 
@@ -343,6 +332,6 @@ class TowerTable:
 def kr_tower_heights(s: Substitution, n: int) -> TowerTable:
     if n < 0:
         raise ValueError("level must be >= 0")
-    present = {w[0] for w in factor_language(s, 3).factors if len(w) == 1}
+    lang = factor_language(s, 3)
     lengths = expansion_lengths(s, n)
-    return TowerTable({a: lengths[a] for a in s.alphabet if a in present}, n)
+    return TowerTable({a: lengths[a] for a in s.alphabet if (a,) in lang}, n)

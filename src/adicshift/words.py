@@ -110,13 +110,12 @@ class Substitution:
 
     def encode(self, letters) -> str:
         try:
-            return "".join(self._enc[a] for a in letters)
+            return "".join(map(self._enc.__getitem__, letters))
         except KeyError as e:
             raise AlphabetError(f"letter {e.args[0]!r} not in alphabet") from None
 
     def decode(self, enc: str) -> tuple[str, ...]:
-        dec = self._dec
-        return tuple(dec[c] for c in enc)
+        return tuple(map(self._dec.__getitem__, enc))
 
 
 def _single_chars(letters) -> bool:
@@ -303,24 +302,30 @@ def classify_letters(s: Substitution) -> LetterClassification:
 class FactorLanguage:
     """All factors of the iterates sigma^n(a), n >= 1, up to length cap.
 
+    The factors are stored encoded (Substitution.encode) in `encoded`;
+    `factors` decodes them on first use, membership encodes the query.
+
     closure_status records how the bounded transfer iteration terminated:
     "converged" when the window sets stabilize, "cycle-summed" when they enter
     a genuine cycle and the union over one full cycle was taken.
     """
 
+    substitution: Substitution
     cap: int
-    factors: frozenset[tuple[str, ...]]
+    encoded: frozenset[str]
     closure_status: str
+
+    @cached_property
+    def factors(self) -> frozenset[tuple[str, ...]]:
+        return frozenset(map(self.substitution.decode, self.encoded))
 
     def __contains__(self, w) -> bool:
         if isinstance(w, Word):
             w = w.letters
-        elif isinstance(w, str):
-            w = tuple(w)
-        return tuple(w) in self.factors
-
-    def words_of_length(self, k: int) -> list[tuple[str, ...]]:
-        return [w for w in self.factors if len(w) == k]
+        try:
+            return self.substitution.encode(w) in self.encoded
+        except AlphabetError:
+            return False
 
 
 def _windows(enc: str, cap: int) -> set[str]:
@@ -339,7 +344,8 @@ def factor_language(s: Substitution, cap: int) -> FactorLanguage:
     length-<=cap window of sigma(w) sits inside sigma(u) for some factor u of
     w with |u| <= cap (images are nonempty).  The set sequence is eventually
     cyclic; the language is the downward closure of the union over the
-    pre-period plus one full cycle.
+    pre-period plus one full cycle, built in time linear in its size and
+    kept encoded (FactorLanguage.factors decodes it lazily).
     """
     if cap < 1:
         raise ValueError("cap must be >= 1")
@@ -364,24 +370,26 @@ def factor_language(s: Substitution, cap: int) -> FactorLanguage:
     else:
         # the window sets cycle; if their downward closures all agree the
         # language still converged, otherwise we sum over the cycle
-        closures = [_downward(set(x), cap) for x in trail[start - 1:]]
+        closures = [_downward(x, cap) for x in trail[start - 1:]]
         status = "converged" if all(c == closures[0] for c in closures) else "cycle-summed"
 
-    union: set[str] = set()
-    for x in trail:
-        union |= x
-    factors = frozenset(s.decode(w) for w in _downward(union, cap))
-    return FactorLanguage(cap, factors, status)
+    return FactorLanguage(s, cap, frozenset(_downward(set().union(*trail), cap)),
+                          status)
 
 
-def _downward(words: set[str], cap: int) -> set[str]:
-    out: set[str] = set()
+def _downward(words, cap: int) -> set[str]:
+    """Every nonempty factor of length <= cap of the words, in one pass down
+    by length: the factors of length k are the inputs of length k (a longer
+    input enters as its cap-windows) plus the prefix and the suffix of each
+    factor of length k + 1, so the work is linear in the output."""
+    by_length: dict[int, set[str]] = {}
     for w in words:
-        n = len(w)
-        for i in range(n):
-            top = min(n, i + cap)
-            for j in range(i + 1, top + 1):
-                out.add(w[i:j])
+        by_length.setdefault(min(len(w), cap), set()).update(_windows(w, cap))
+    out, level = set(), set()
+    for k in range(max(by_length, default=0), 0, -1):
+        level = ({x[:-1] for x in level} | {x[1:] for x in level}
+                 | by_length.get(k, set()))
+        out |= level
     return out
 
 
@@ -432,12 +440,12 @@ def short_block_bound(s: Substitution, cap: int = 16):
     """
     if cap < 2:
         raise ValueError("cap must be >= 2")
-    short = set(classify_letters(s).short)
+    short = set(s.encode(classify_letters(s).short))
     if not short:
         return 1
     lang = factor_language(s, cap)
     longest = max(
-        (len(w) for w in lang.factors if set(w) <= short), default=0)
+        (len(w) for w in lang.encoded if set(w) <= short), default=0)
     if longest >= cap:
         return Unbounded(cap)
     return longest + 1
@@ -457,7 +465,8 @@ def periodicity_witness_search(s: Substitution, max_len: int, max_pow: int):
     if max_len < 1 or max_pow < 1:
         raise ValueError("bounds must be >= 1")
     lang = factor_language(s, max_len * max_pow)
-    for u in sorted_words(s, (w for w in lang.factors if len(w) <= max_len)):
+    candidates = (s.decode(w) for w in lang.encoded if len(w) <= max_len)
+    for u in sorted_words(s, candidates):
         if u * max_pow in lang:
             return u
     return NoneUpToBounds(max_len, max_pow)

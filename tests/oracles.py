@@ -25,6 +25,23 @@ def naive_factors(s, cap, depth):
     return out
 
 
+def cubic_downward(words, cap):
+    """Every nonempty factor of length <= cap of the given words (strings or
+    tuples), by slicing each one at every (start, end) pair."""
+    out = set()
+    for w in words:
+        for i in range(len(w)):
+            for j in range(i + 1, min(len(w), i + cap) + 1):
+                out.add(w[i:j])
+    return out
+
+
+def naive_seed_factors(s, seed, cap, steps, depth):
+    """Factors (length <= cap) of sigma^(steps * n)(seed) for 0 <= n <= depth."""
+    return cubic_downward(
+        (expand(s, seed, steps * n) for n in range(depth + 1)), cap)
+
+
 def naive_incidence_power(s, n):
     """Occurrence counts of each letter in sigma^n(a), by direct expansion."""
     m = np.zeros((len(s.alphabet), len(s.alphabet)), dtype=np.int64)

@@ -72,6 +72,17 @@ def test_unbounded_shorts_fail_classify(capsys, tmp_path):
     assert "error:" in out
 
 
+@pytest.mark.parametrize("argv, code", [
+    (("vershik", "--steps", "-1"), 2),
+    (("minimal", "--cap", "0"), 2),
+    (("export", "--depth", "0"), 2),
+])
+def test_bad_flag_values_exit_two(capsys, chacon_file, argv, code):
+    out_code, out = invoke(capsys, *argv, "--sub", chacon_file)
+    assert out_code == code
+    assert out == ""
+
+
 # ---------------------------------------------------------------------------
 # determinism (reruns are byte-identical)
 

@@ -36,7 +36,10 @@ from adicshift import (
     vershik_orbit_coding,
     minimal_path,
 )
-from strategies import CHACON, THUE_MORSE as TM, TWO_BLOCK, substitutions
+from adicshift.constructions import _grown_factors
+from oracles import naive_seed_factors
+from strategies import (CHACON, DOUBLING, FIBONACCI, IDENTITY, THUE_MORSE as TM,
+                        TWO_BLOCK, substitutions)
 
 # the Chacon vocabulary in its published order, with base tower heights
 CHACON_MARKED = {
@@ -242,6 +245,19 @@ def test_components_drop_transient_seed():
                      (("a", "b"), ("b", "a"), ("e", "a")))
     comps = minimal_components(s)
     assert [c.seeds for c in comps] == [("a", "b")]
+
+
+GROWN_PANEL = [CHACON, TM, TWO_BLOCK, FIBONACCI, DOUBLING, IDENTITY,
+               Substitution.from_rules({"a": "saa", "s": "s"})]
+
+
+@pytest.mark.parametrize("s", GROWN_PANEL, ids=lambda s: "".join(s.alphabet))
+@pytest.mark.parametrize("steps", [1, 2])
+def test_grown_factors_match_expanded_seed_iterates(s, steps):
+    for a in s.alphabet:
+        grown = _grown_factors(s, (a,), 5, steps)
+        assert ({s.decode(w) for w in grown}
+                == naive_seed_factors(s, (a,), 5, steps, 8 // steps))
 
 
 @settings(max_examples=60, deadline=None)

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import adicshift.recognize as recognize
 from adicshift import WindowTooShort, expand, parse_substitution
 from adicshift.recognize import (
     AmbiguityReport,
@@ -108,6 +109,22 @@ def test_tilings_reconstruct_window(s, data):
     for t in one_word_tilings(s, w):
         assert t.reconstruct(s) == w
         assert 0 <= t.offset < len(s.image(t.parent[0]))
+
+
+@pytest.mark.parametrize("interior_only", [False, True])
+def test_long_windows_tile_without_recursion(monkeypatch, interior_only):
+    # thousands of tiles deep, at the default recursion limit; the parent
+    # filter would build the language up to the parent length (over a
+    # thousand letters), so it is switched off and only the walk runs
+    monkeypatch.setattr(recognize, "_parent_in_language", lambda s, p: True)
+    seventh = expand(CHACON, ("0",), 7)
+    sixth = expand(CHACON, ("0",), 6)
+    for window, parent in [(seventh, sixth),                 # 3,280 letters
+                           (seventh + seventh, sixth * 2)]:  # 6,560 letters
+        tilings = one_word_tilings(CHACON, window, interior_only)
+        assert (parent, 0) in [(t.parent, t.offset) for t in tilings]
+        for t in tilings:
+            assert t.reconstruct(CHACON) == window
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,8 @@ from adicshift import (
     short_block_bound,
     sorted_words,
 )
-from oracles import naive_factors, naive_incidence_power
+from adicshift.words import _downward
+from oracles import cubic_downward, naive_factors, naive_incidence_power
 from strategies import CHACON, DOUBLING, FIBONACCI, IDENTITY, THUE_MORSE, substitutions
 
 # ---------------------------------------------------------------------------
@@ -248,6 +249,35 @@ def test_factor_language_cap_filter_consistent(s, c1, extra):
     small = factor_language(s, c1).factors
     large = factor_language(s, c2).factors
     assert small == frozenset(w for w in large if len(w) <= c1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sets(st.text(alphabet="\ue000\ue001\ue002", max_size=12),
+               max_size=8),
+       st.integers(1, 10))
+def test_downward_closure_matches_cubic_slicing(words, cap):
+    assert _downward(words, cap) == cubic_downward(words, cap)
+
+
+@pytest.mark.parametrize("s", [CHACON, THUE_MORSE, FIBONACCI, IDENTITY,
+                               DOUBLING])
+def test_factors_are_the_decoded_encoding(s):
+    lang = factor_language(s, 7)
+    assert lang.factors == frozenset(s.decode(w) for w in lang.encoded)
+    assert len(lang.factors) == len(lang.encoded)
+    assert all(w in lang for w in lang.factors)
+
+
+def test_letter_outside_alphabet_is_not_a_factor():
+    lang = factor_language(CHACON, 4)
+    assert ("x",) not in lang
+    assert ("0", "x") not in lang
+    assert "0x" not in lang
+
+
+def test_factor_language_chacon_cap200_count():
+    # the count of the linear-complexity language up to length 200
+    assert len(factor_language(CHACON, 200).encoded) == 79_590
 
 
 def test_sorted_words_order():
