@@ -159,7 +159,7 @@ def _cmd_return_words(s, args):
 
 def _cmd_derive(s, args):
     rs = return_words(s, scale=args.cap)
-    tau = rs.tau if rs.tau is not None else derivative_substitution(rs, s)
+    tau = derivative_substitution(rs, s)
     lines = [f"power: {rs.power}"]
     for idx in rs.indices:
         lines.append(f"return-word {idx}: {rs.word_text(idx)}")

@@ -20,8 +20,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import lcm
 
-import numpy as np
-
 from .diagrams import StationaryOrderedDiagram
 from .errors import (
     CountExceedsImage,
@@ -36,11 +34,12 @@ from .words import (
     Substitution,
     Unbounded,
     Word,
+    _cycle,
     _downward,
+    _reach,
     _windows,
     classify_letters,
     factor_language,
-    incidence_matrix,
     nesting_class,
     short_block_bound,
     sorted_words,
@@ -292,25 +291,6 @@ class MinimalComponent:
     scale: int
 
 
-def _self_return_period(chain: dict[str, str], a: str) -> int | None:
-    """Cycle length of a under the one-letter map, or None off-cycle."""
-    seen = {a}
-    b = chain[a]
-    steps = 1
-    while b not in seen:
-        seen.add(b)
-        b = chain[b]
-        steps += 1
-    if b != a:
-        return None
-    # walk once more to measure a's own cycle
-    b, p = chain[a], 1
-    while b != a:
-        b = chain[b]
-        p += 1
-    return p
-
-
 @lru_cache(maxsize=None)
 def _grown_factors(s: Substitution, seed: tuple[str, ...], cap: int,
                    steps: int = 1):
@@ -379,18 +359,12 @@ def minimal_components(s: Substitution, scale: int = 8):
     lexicographically least (left, right) marker pair whose glued point
     stays inside the component.
     """
-    cls = classify_letters(s)
-    long_set = set(cls.long)
+    long = classify_letters(s).long
     first = {a: s.image(a)[0] for a in s.alphabet}
     last = {a: s.image(a)[-1] for a in s.alphabet}
 
-    seeds = []
-    for a in s.alphabet:
-        if a not in long_set:
-            continue
-        p = _self_return_period(first, a)
-        if p is not None:
-            seeds.append((a, p))
+    # (letter, length of its cycle under the first-letter map)
+    seeds = [(a, len(c)) for a in long if (c := _cycle(first, a))]
     if not seeds:
         return ()
 
@@ -409,10 +383,7 @@ def minimal_components(s: Substitution, scale: int = 8):
         else:
             groups.append([(a, p)])
 
-    left_candidates = [
-        (a, _self_return_period(last, a))
-        for a in s.alphabet
-        if a in long_set and _self_return_period(last, a) is not None]
+    left_candidates = [(a, len(c)) for a in long if (c := _cycle(last, a))]
 
     out = []
     for g in groups:
@@ -455,7 +426,6 @@ class ReturnWordSystem:
     pairs: tuple[tuple[str, str], ...]
     power: int
     vocabulary: tuple[tuple[str, ...], ...]
-    tau: Substitution | None = None
 
     @property
     def indices(self) -> tuple[str, ...]:
@@ -623,15 +593,13 @@ class NotMPrimitive:
     reason: str
 
 
-def _is_primitive(mat: np.ndarray) -> bool:
-    n = mat.shape[0]
-    step = mat > 0
-    power = step.copy()
-    for _ in range((n - 1) ** 2 + 1):
-        if power.all():
-            return True
-        power = (power.astype(np.int64) @ step.astype(np.int64)) > 0
-    return bool(power.all())
+def _is_primitive(succ, block) -> bool:
+    """Is the step relation on the closed cycle class `block` primitive?
+    By Wielandt's bound, iff its (n - 1)^2 + 1-st power is full."""
+    power = {a: succ[a] for a in block}   # letters reached in k steps
+    for _ in range((len(block) - 1) ** 2):
+        power = {a: set().union(*map(succ.get, p)) for a, p in power.items()}
+    return all(p == set(block) for p in power.values())
 
 
 def is_m_primitive(s: Substitution, scale: int = 8):
@@ -644,40 +612,15 @@ def is_m_primitive(s: Substitution, scale: int = 8):
     """
     idx = s._index
     succ = {a: set(s.image(a)) for a in s.alphabet}
-    reach: dict[str, set[str]] = {}
-    for a in s.alphabet:
-        out, frontier = set(succ[a]), list(succ[a])
-        while frontier:
-            for b in succ[frontier.pop()]:
-                if b not in out:
-                    out.add(b)
-                    frontier.append(b)
-        reach[a] = out
-
-    sccs: list[tuple[str, ...]] = []
-    assigned: set[str] = set()
-    for a in s.alphabet:
-        if a in assigned:
-            continue
-        comp = tuple(
-            b for b in s.alphabet
-            if (b == a) or (b in reach[a] and a in reach[b]))
-        if a in reach[a]:  # genuine cycle class
-            sccs.append(comp)
-            assigned |= set(comp)
-        else:
-            sccs.append((a,))
-            assigned.add(a)
-
-    matrix = incidence_matrix(s)
-    blocks = []
-    for comp in sccs:
-        closed = all(succ[a] <= set(comp) for a in comp)
-        if not closed or len(comp) < 2:
-            continue
-        rows = [idx[a] for a in comp]
-        if _is_primitive(matrix[np.ix_(rows, rows)]):
-            blocks.append(comp)
+    reach = _reach(succ)
+    # the cycle class of each letter (empty off cycles), taken once from
+    # its first letter; it is closed when nothing outside it is reachable
+    classes = {a: tuple(b for b in s.alphabet
+                        if b in reach[a] and a in reach[b])
+               for a in s.alphabet}
+    blocks = [comp for a, comp in classes.items()
+              if len(comp) >= 2 and comp[0] == a and reach[a] == set(comp)
+              and _is_primitive(succ, comp)]
 
     block_letters = {a for comp in blocks for a in comp}
     for a in s.alphabet:

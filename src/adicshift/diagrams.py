@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import DiagramError, ImproperOrdering
-from .words import Substitution
+from .words import Substitution, _cycle
 
 
 class _Maximal:
@@ -201,12 +201,8 @@ class FinitePath:
         """Vertex labels (v_0, ..., v_n) along the path, top first."""
         chain = [self.terminal]
         for k in range(self.level, 0, -1):
-            chain.append(_in_edges(d, k, chain[-1])[self.indices[k - 1]])
+            chain.append(d.in_edges(k, chain[-1])[self.indices[k - 1]])
         return tuple(reversed(chain))
-
-
-def _in_edges(d, level: int, vertex: str) -> tuple[str, ...]:
-    return d.in_edges(level, vertex)
 
 
 def minimal_path(d, level: int, vertex: str) -> FinitePath:
@@ -217,7 +213,7 @@ def maximal_path(d, level: int, vertex: str) -> FinitePath:
     indices = []
     v = vertex
     for k in range(level, 0, -1):
-        edges = _in_edges(d, k, v)
+        edges = d.in_edges(k, v)
         indices.append(len(edges) - 1)
         v = edges[-1]
     return FinitePath(level, vertex, tuple(reversed(indices)))
@@ -234,7 +230,7 @@ def enumerate_paths(d, level: int, vertex: str) -> list[FinitePath]:
         if k == 0:
             return [()]
         out = []
-        for j, src in enumerate(_in_edges(d, k, v)):
+        for j, src in enumerate(d.in_edges(k, v)):
             out.extend(prefix + (j,) for prefix in walk(k - 1, src))
         return out
 
@@ -247,7 +243,7 @@ def vershik_successor(d, p: FinitePath):
     path into the new source.  Returns Maximal when every edge is maximal."""
     chain = p.vertices(d)
     for k in range(1, p.level + 1):
-        edges = _in_edges(d, k, chain[k])
+        edges = d.in_edges(k, chain[k])
         j = p.indices[k - 1]
         if j + 1 < len(edges):
             prefix = (0,) * (k - 1)
@@ -277,37 +273,15 @@ class ExtremalPaths:
     maximal: tuple[PeriodicLabels, ...]
 
 
-def _extremal_cycles(d: StationaryOrderedDiagram, pick) -> tuple[PeriodicLabels, ...]:
-    """Label sequences (v_1, v_2, ...) with v_n = pick(v_{n+1}) for all n.
+def _extremal_cycles(step: dict) -> tuple[PeriodicLabels, ...]:
+    """Label sequences (v_1, v_2, ...) with v_n = step[v_{n+1}] for all n.
 
-    Every entry must lie in the eventual image of the functional map `pick`,
-    i.e. on one of its cycles; on a cycle the map is a bijection, so each
-    cycle vertex starts exactly one sequence, obtained by walking the cycle
-    against the map.
+    Every entry must lie on a cycle of the map `step`; on a cycle the map
+    is a bijection, so each cycle vertex starts exactly one sequence: its
+    cycle walked against the map.
     """
-    step = {a: pick(a) for a in d.alphabet}
-    on_cycle = set()
-    for a in d.alphabet:
-        seen = []
-        v = a
-        while v not in seen:
-            seen.append(v)
-            v = step[v]
-        on_cycle.update(seen[seen.index(v):])
-    out = []
-    for start in d.alphabet:
-        if start not in on_cycle:
-            continue
-        # walk backwards through the cycle: the unique on-cycle preimage
-        period = [start]
-        while True:
-            nxt = next(u for u in d.alphabet
-                       if u in on_cycle and step[u] == period[-1])
-            if nxt == start:
-                break
-            period.append(nxt)
-        out.append(PeriodicLabels(tuple(period)))
-    return tuple(out)
+    cycles = (_cycle(step, a) for a in step)
+    return tuple(PeriodicLabels((c[0],) + c[:0:-1]) for c in cycles if c)
 
 
 def extremal_paths(d: StationaryOrderedDiagram) -> ExtremalPaths:
@@ -316,8 +290,8 @@ def extremal_paths(d: StationaryOrderedDiagram) -> ExtremalPaths:
     (last) incoming edge of its vertex, which pins each label to the first
     (last) letter of the next label's read image."""
     return ExtremalPaths(
-        minimal=_extremal_cycles(d, lambda a: d.read_image(a)[0]),
-        maximal=_extremal_cycles(d, lambda a: d.read_image(a)[-1]),
+        minimal=_extremal_cycles({a: d.read_image(a)[0] for a in d.alphabet}),
+        maximal=_extremal_cycles({a: d.read_image(a)[-1] for a in d.alphabet}),
     )
 
 
@@ -368,14 +342,10 @@ def _min_continuation(d: StationaryOrderedDiagram, v: str):
     on-cycle preimage of v under the first-letter map when one exists, else
     the first preimage in alphabet order, else None."""
     first = {a: d.read_image(a)[0] for a in d.alphabet}
-    pre = [a for a in d.alphabet if first[a] == v]
-    if not pre:
-        return None
-    for cyc in _extremal_cycles(d, lambda a: first[a]):
-        if v in cyc.period:
-            at = cyc.period.index(v)
-            return cyc.period[(at + 1) % len(cyc.period)]
-    return pre[0]
+    cycle = _cycle(first, v)
+    if cycle:
+        return cycle[-1]
+    return next((a for a in d.alphabet if first[a] == v), None)
 
 
 def vershik_orbit_coding(d, start: FinitePath, steps: int, level: int,
@@ -427,7 +397,7 @@ def _deepen_maximal(d: StationaryOrderedDiagram, p: FinitePath):
         deeper = _min_continuation(d, terminal)
         if deeper is None:
             return None
-        edges = _in_edges(d, level + 1, deeper)
+        edges = d.in_edges(level + 1, deeper)
         # the appended edge: the first occurrence of terminal in the read
         # image, which is position 0 on the minimal continuation
         level, terminal, indices = level + 1, deeper, indices + (0,)

@@ -9,12 +9,14 @@ Words whose marker is the origin.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import lcm
 
 from .errors import AlphabetError, InsufficientGrowth, ShortLettersPresent
-from .recognize import one_word_tilings
+from .recognize import _tile_boundaries, one_word_tilings
 from .words import (
     Substitution,
     Word,
+    _cycle,
     classify_letters,
     expand,
     expansion_lengths,
@@ -41,9 +43,9 @@ def lambda_seeds(s: Substitution) -> list[LambdaSeed]:
     """All seeds (a, b) with ab in the language, each at its least period.
 
     The last letter of sigma^p(a) is the p-fold end-letter map applied to a
-    (and dually for first letters), so the scan walks two functional graphs;
-    any pair that reproduces does so within (|A| + 1)^2 steps, after which
-    both walks have cycled.
+    (and dually for first letters), so a pair reproduces exactly when a lies
+    on a cycle of the end-letter map and b on one of the first-letter map,
+    and its least period is the lcm of the two cycle lengths.
     """
     short = classify_letters(s).short
     if short:
@@ -53,19 +55,10 @@ def lambda_seeds(s: Substitution) -> list[LambdaSeed]:
     lang = factor_language(s, 2)
     last = {a: s.image(a)[-1] for a in s.alphabet}
     first = {a: s.image(a)[0] for a in s.alphabet}
-    bound = (len(s.alphabet) + 1) ** 2
-    seeds = []
-    for a in s.alphabet:
-        for b in s.alphabet:
-            if (a, b) not in lang:
-                continue
-            x, y = a, b
-            for p in range(1, bound + 1):
-                x, y = last[x], first[y]
-                if x == a and y == b:
-                    seeds.append(LambdaSeed(a, b, p))
-                    break
-    return seeds
+    lefts = [(a, len(c)) for a in s.alphabet if (c := _cycle(last, a))]
+    rights = [(b, len(c)) for b in s.alphabet if (c := _cycle(first, b))]
+    return [LambdaSeed(a, b, lcm(p, q)) for a, p in lefts for b, q in rights
+            if (a, b) in lang]
 
 
 def lambda_window(s: Substitution, seed: LambdaSeed, radius: int,
@@ -187,29 +180,25 @@ def core_membership(s: Substitution, window: Word, n: int) -> CoreCheck:
     transported to the matching parent position.  The scan tries all
     tilings; absence of any aligned chain refutes membership at this
     window, while success is only consistency (the window is finite).
+
+    One depth-first walk finds the deepest aligned chain, stopping once it
+    reaches n; the first refuted level lies one below it, because a chain
+    of depth k contains one of every smaller depth.
     """
     if window.marker is None:
         raise ValueError("window must carry a marker")
     if n < 0:
         raise ValueError("levels must be >= 0")
-
-    def aligned(letters, marker, levels):
-        if levels == 0:
-            return True
+    deepest, stack = 0, [(window.letters, window.marker, 0)]
+    while stack and deepest < n:
+        letters, marker, depth = stack.pop()
         for t in one_word_tilings(s, letters):
-            edge, hit = -t.offset, None
-            for idx, parent_letter in enumerate(t.parent):
-                if edge == marker:
-                    hit = idx
-                    break
-                edge += len(s.image(parent_letter))
-            if hit is None and edge == marker:
-                hit = len(t.parent)
-            if hit is not None and aligned(t.parent, hit, levels - 1):
-                return True
-        return False
-
-    for k in range(1, n + 1):
-        if not aligned(window.letters, window.marker, k):
-            return CoreCheck(False, n, k)
+            # the marker must sit on a tile boundary; it moves to the
+            # position of that boundary in the parent word
+            bounds = _tile_boundaries(s, t.parent, t.offset)
+            if marker in bounds:
+                deepest = max(deepest, depth + 1)
+                stack.append((t.parent, bounds.index(marker), depth + 1))
+    if deepest < n:
+        return CoreCheck(False, n, deepest + 1)
     return CoreCheck(True, n)

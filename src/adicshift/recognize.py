@@ -133,9 +133,6 @@ def one_word_tilings(s: Substitution, window, interior_only: bool = False):
 # ---------------------------------------------------------------------------
 # recognizability
 
-# sentinel magnitude for tile boundaries that fall outside the visible frame
-_FAR = 10 ** 12
-
 
 @dataclass(frozen=True)
 class ChainLevel:
@@ -221,9 +218,7 @@ def _annotate_chain(s: Substitution, chain, base, unit):
         kept_idx = []
         for j, a in enumerate(t.parent):
             b, e = bb[j], bb[j + 1]
-            if (b if b is not None else -_FAR) > hi:
-                continue
-            if (e if e is not None else _FAR) < lo:
+            if (b is not None and b > hi) or (e is not None and e < lo):
                 continue
             # a tile reaching past the known letters is kept only when its
             # visible fragment forces the letter

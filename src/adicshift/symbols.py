@@ -179,18 +179,19 @@ def window_from_parse(s: Substitution, chain: ParseChain,
     if lo < 0 or hi > length:
         raise WindowTooShort(
             f"radius {radius} exceeds the parsed window interior")
-    far = 10 ** 12
     rows = [tuple((a, k, k + 1) for k, a in enumerate(chain.base))]
     for i, lvl in enumerate(chain.levels, start=1):
+        # boundaries beyond the frame (None) clamp to the window's edges:
+        # leading ones to lo, trailing ones to hi
         bounds = list(lvl.bounds)
-        for k in range(len(bounds)):          # leading Nones: beyond frame
+        for k in range(len(bounds)):
             if bounds[k] is not None:
                 break
-            bounds[k] = -far
-        for k in range(len(bounds) - 1, -1, -1):   # trailing Nones
+            bounds[k] = lo
+        for k in range(len(bounds) - 1, -1, -1):
             if bounds[k] is not None:
                 break
-            bounds[k] = far
+            bounds[k] = hi
         rows.append(tuple(
             ("".join(expand(s, (a,), i)), start, stop)
             for a, start, stop in zip(lvl.parent, bounds, bounds[1:])))
@@ -274,16 +275,21 @@ class DepthReport:
     common_cuts: tuple[tuple[int, ...], ...]
 
 
-def depth_and_cuts(w1: JSequenceWindow, w2: JSequenceWindow) -> DepthReport:
-    if w1.span != w2.span:
-        raise SpanMismatch(f"spans differ: {w1.span} vs {w2.span}")
+def _agreement_depth(w1: JSequenceWindow, w2: JSequenceWindow) -> int:
+    """Highest row up to which two windows on one span agree, or -1."""
     top = min(w1.level, w2.level)
     depth = -1
     while depth < top and w1.rows[depth + 1] == w2.rows[depth + 1]:
         depth += 1
+    return depth
+
+
+def depth_and_cuts(w1: JSequenceWindow, w2: JSequenceWindow) -> DepthReport:
+    if w1.span != w2.span:
+        raise SpanMismatch(f"spans differ: {w1.span} vs {w2.span}")
     cuts = tuple(tuple(sorted(w1.cuts(i) & w2.cuts(i)))
-                 for i in range(top + 1))
-    return DepthReport(depth, cuts)
+                 for i in range(min(w1.level, w2.level) + 1))
+    return DepthReport(_agreement_depth(w1, w2), cuts)
 
 
 # ---------------------------------------------------------------------------
@@ -363,7 +369,7 @@ def _common_depth(d, x: FinitePath, y: FinitePath, j: int, radius: int,
         if lo >= hi:
             return -1
         wx, wy = wx.clip(lo, hi), wy.clip(lo, hi)
-    return depth_and_cuts(wx, wy).depth
+    return _agreement_depth(wx, wy)
 
 
 def expansiveness_witness_search(d: StationaryOrderedDiagram, i: int,
@@ -376,7 +382,8 @@ def expansiveness_witness_search(d: StationaryOrderedDiagram, i: int,
     both tower ends, so every window covers the full span and agreement is
     never an artifact of edge truncation; only paths into a common terminal
     are paired, so the comparison is between two columns of one tower.
-    Each pair is compared over rows <= i via depth_and_cuts; pairs agreeing
+    Each pair is compared over rows <= i by their agreement depth (the
+    depth of depth_and_cuts, without its common cuts); pairs agreeing
     up to row 1 but not row i are additionally pushed down with
     shift_down_path and the pushed pair is re-verified before being
     reported.  Everything is window-relative: a hit certifies agreement at

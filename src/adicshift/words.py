@@ -14,8 +14,6 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property, lru_cache
 
-import numpy as np
-
 from .errors import AlphabetError, GrammarError
 
 # ---------------------------------------------------------------------------
@@ -230,15 +228,13 @@ def expand(s: Substitution, w, n: int):
 
 
 def expansion_lengths(s: Substitution, n: int) -> dict[str, int]:
-    """|sigma^n(a)| for every letter, via exact integer matrix-vector steps."""
-    counts = [[0] * len(s.alphabet) for _ in s.alphabet]
-    for i, img in enumerate(s.images):
-        for b in img:
-            counts[i][s._index[b]] += 1
-    v = [1] * len(s.alphabet)
+    """|sigma^n(a)| for every letter, via |sigma^(k+1)(a)| = the sum of
+    |sigma^k(b)| over the letters b of sigma(a), in exact integers."""
+    lengths = dict.fromkeys(s.alphabet, 1)
     for _ in range(n):
-        v = [sum(row[j] * v[j] for j in range(len(v))) for row in counts]
-    return dict(zip(s.alphabet, v))
+        lengths = {a: sum(map(lengths.__getitem__, img))
+                   for a, img in zip(s.alphabet, s.images)}
+    return lengths
 
 
 def norms(s: Substitution, n: int) -> tuple[int, int]:
@@ -249,14 +245,48 @@ def norms(s: Substitution, n: int) -> tuple[int, int]:
     return min(lengths.values()), max(lengths.values())
 
 
-def incidence_matrix(s: Substitution) -> np.ndarray:
+def incidence_matrix(s: Substitution):
     """M[a, b] = number of occurrences of b in sigma(a), rows/columns in
-    alphabet order.  Row a sums to |sigma(a)|."""
+    alphabet order, as an int64 numpy array.  Row a sums to |sigma(a)|.
+    numpy is imported here, on first use, and nowhere else."""
+    import numpy as np
+
     m = np.zeros((len(s.alphabet), len(s.alphabet)), dtype=np.int64)
     for i, img in enumerate(s.images):
         for b in img:
             m[i, s._index[b]] += 1
     return m
+
+
+# ---------------------------------------------------------------------------
+# the letter digraph
+
+
+def _reach(succ) -> dict:
+    """For each letter of the digraph `succ` (letter -> successor letters),
+    the set of letters reachable from it in one or more steps; the letter
+    itself is in its set exactly when it lies on a cycle."""
+    reach = {}
+    for a in succ:
+        out, frontier = set(), list(succ[a])
+        while frontier:
+            b = frontier.pop()
+            if b not in out:
+                out.add(b)
+                frontier.extend(succ[b])
+        reach[a] = out
+    return reach
+
+
+def _cycle(step, a):
+    """(a, step[a], step[step[a]], ...) once round the cycle of the map
+    `step` (letter -> letter) through a, or None when a is not on a cycle."""
+    path, seen, b = [a], {a}, step[a]
+    while b not in seen:
+        path.append(b)
+        seen.add(b)
+        b = step[b]
+    return tuple(path) if b == a else None
 
 
 # ---------------------------------------------------------------------------
@@ -275,22 +305,10 @@ def classify_letters(s: Substitution) -> LetterClassification:
     a cycle and has image length >= 2.  A bare cycle of length-1 images stays
     bounded; a cycle letter with a branching image pumps one extra persistent
     letter per loop, so this matches |sigma^n(a)| -> infinity exactly."""
-    succ = {a: set(s.image(a)) for a in s.alphabet}
-
-    def reach_from(seeds):
-        out, frontier = set(seeds), list(seeds)
-        while frontier:
-            for b in succ[frontier.pop()]:
-                if b not in out:
-                    out.add(b)
-                    frontier.append(b)
-        return out
-
-    reach = {a: reach_from([a]) for a in s.alphabet}  # includes a itself
-    on_cycle = {a for a in s.alphabet if a in reach_from(succ[a])}
-    targets = {c for c in on_cycle if len(s.image(c)) >= 2}
-    long = tuple(a for a in s.alphabet if reach[a] & targets)
-    short = tuple(a for a in s.alphabet if not reach[a] & targets)
+    reach = _reach(dict(zip(s.alphabet, s.images)))
+    targets = {c for c in s.alphabet if c in reach[c] and len(s.image(c)) >= 2}
+    long = tuple(a for a in s.alphabet if ({a} | reach[a]) & targets)
+    short = tuple(a for a in s.alphabet if a not in long)
     return LetterClassification(long, short)
 
 

@@ -10,7 +10,8 @@ import itertools
 
 import numpy as np
 
-from adicshift import expand, factor_language, norms
+from adicshift import (CoreCheck, LambdaSeed, expand, factor_language, norms,
+                       one_word_tilings)
 
 
 def naive_factors(s, cap, depth):
@@ -138,3 +139,95 @@ def path_count_by_matrices(incoming, levels, depth, terminal):
     for k in range(2, depth + 1):
         total = {v: sum(total[u] for u in incoming[k][v]) for v in levels[k]}
     return total[terminal]
+
+
+def primitive_blocks(s):
+    """Closed letter classes of two or more letters whose incidence
+    submatrix is primitive, ordered by first letter: classes from boolean
+    reachability by repeated matrix products, primitivity by one integer
+    matrix power at Wielandt's bound (n - 1)^2 + 1."""
+    n = len(s.alphabet)
+    step = naive_incidence_power(s, 1) > 0
+    reach = np.eye(n, dtype=bool)
+    for _ in range(n):
+        reach = reach | ((reach.astype(np.int64) @ step.astype(np.int64)) > 0)
+    blocks = []
+    for i in range(n):
+        rows = [j for j in range(n) if reach[i, j] and reach[j, i]]
+        outside = [j for j in range(n) if j not in rows]
+        if len(rows) < 2 or rows[0] != i or step[np.ix_(rows, outside)].any():
+            continue
+        sub = step[np.ix_(rows, rows)].astype(np.int64)
+        if (np.linalg.matrix_power(sub, (len(rows) - 1) ** 2 + 1) > 0).all():
+            blocks.append(tuple(s.alphabet[j] for j in rows))
+    return blocks
+
+
+def extremal_periods(alphabet, pick):
+    """The periods of all label sequences with v_n = pick(v_{n+1}), one per
+    start label: the labels with arbitrarily long backward chains are those
+    in the |A|-fold image of pick; walk back through them 2|A| steps and
+    read off the least period."""
+    eventual = set(alphabet)
+    for _ in alphabet:
+        eventual = {pick(a) for a in eventual}
+    out = []
+    for v in alphabet:
+        if v not in eventual:
+            continue
+        seq = [v]
+        for _ in range(2 * len(alphabet)):
+            seq.append(next(u for u in alphabet
+                            if u in eventual and pick(u) == seq[-1]))
+        p = next(p for p in range(1, len(alphabet) + 1)
+                 if all(seq[i] == seq[i + p] for i in range(len(seq) - p)))
+        out.append(tuple(seq[:p]))
+    return out
+
+
+def bounded_seed_scan(s):
+    """Junction seeds (a, b) with ab a factor, by iterating the last- and
+    first-letter maps side by side for up to (|A| + 1)^2 steps and taking
+    the first step at which both return."""
+    lang = factor_language(s, 2)
+    last = {a: s.image(a)[-1] for a in s.alphabet}
+    first = {a: s.image(a)[0] for a in s.alphabet}
+    seeds = []
+    for a in s.alphabet:
+        for b in s.alphabet:
+            if (a, b) not in lang:
+                continue
+            x, y = a, b
+            for p in range(1, (len(s.alphabet) + 1) ** 2 + 1):
+                x, y = last[x], first[y]
+                if x == a and y == b:
+                    seeds.append(LambdaSeed(a, b, p))
+                    break
+    return seeds
+
+
+def core_membership_by_levels(s, window, n):
+    """The origin-alignment check level by level: for each k <= n in turn,
+    search afresh for an aligned chain of depth k; the first k without one
+    is the refuted level."""
+
+    def aligned(letters, marker, levels):
+        if levels == 0:
+            return True
+        for t in one_word_tilings(s, letters):
+            edge, hit = -t.offset, None
+            for idx, parent_letter in enumerate(t.parent):
+                if edge == marker:
+                    hit = idx
+                    break
+                edge += len(s.image(parent_letter))
+            if hit is None and edge == marker:
+                hit = len(t.parent)
+            if hit is not None and aligned(t.parent, hit, levels - 1):
+                return True
+        return False
+
+    for k in range(1, n + 1):
+        if not aligned(window.letters, window.marker, k):
+            return CoreCheck(False, n, k)
+    return CoreCheck(True, n)

@@ -37,7 +37,7 @@ from adicshift import (
     minimal_path,
 )
 from adicshift.constructions import _grown_factors
-from oracles import naive_seed_factors
+from oracles import naive_seed_factors, primitive_blocks
 from strategies import (CHACON, DOUBLING, FIBONACCI, IDENTITY, THUE_MORSE as TM,
                         TWO_BLOCK, substitutions)
 
@@ -377,6 +377,36 @@ def test_m_primitive_single_block():
     verdict = is_m_primitive(TM)
     assert isinstance(verdict, MPrimitiveDecomposition)
     assert verdict.m == 1 and verdict.transient == ()
+
+
+@pytest.mark.parametrize("rules, blocks", [
+    ({"a": "b", "b": "a"}, []),
+    ({"a": "b", "b": "a", "c": "cd", "d": "dc"}, [("c", "d")]),
+])
+def test_m_primitive_periodic_closed_block(rules, blocks):
+    # a <-> b is a closed cycle class of period 2: irreducible, not primitive
+    s = Substitution.from_rules(rules)
+    verdict = is_m_primitive(s)
+    assert isinstance(verdict, NotMPrimitive)
+    assert "('a', 'b')" in verdict.reason
+    assert primitive_blocks(s) == blocks
+
+
+@settings(max_examples=80, deadline=None)
+@given(substitutions(max_letters=4, max_image=3))
+def test_m_primitive_blocks_match_matrix_powers(s):
+    blocks = primitive_blocks(s)
+    covered = {a for block in blocks for a in block}
+    stranded = [a for a in s.alphabet if a not in covered and not covered & {
+        b for j in range(1, len(s.alphabet) + 1) for b in expand(s, (a,), j)}]
+    verdict = is_m_primitive(s, scale=5)
+    if isinstance(verdict, MPrimitiveDecomposition):
+        assert list(verdict.blocks) == blocks
+        assert verdict.transient == tuple(
+            a for a in s.alphabet if a not in covered)
+    # the block test fails exactly when some letter reaches no block
+    assert bool(stranded) == (isinstance(verdict, NotMPrimitive)
+                              and "no primitive block" in verdict.reason)
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,7 @@ from adicshift import (
     vershik_orbit_coding,
     vershik_successor,
 )
-from oracles import all_paths_sorted, path_count_by_matrices
+from oracles import all_paths_sorted, extremal_periods, path_count_by_matrices
 from strategies import CHACON, ordered_diagrams, substitutions
 
 ODOMETER = StationaryOrderedDiagram(("v",), (("v", "v"),), (2,))
@@ -219,6 +219,17 @@ def test_extremal_sequences_satisfy_recursion(s):
         for seq in kind:
             for n in range(1, 21):
                 assert seq.label(n) == pick(seq.label(n + 1))
+
+
+@settings(max_examples=80, deadline=None)
+@given(substitutions())
+def test_extremal_paths_match_backward_walk(s):
+    d = stationary_from_substitution(s, (1,) * len(s.alphabet))
+    ex = extremal_paths(d)
+    for kind, pick in ((ex.minimal, lambda a: d.read_image(a)[0]),
+                       (ex.maximal, lambda a: d.read_image(a)[-1])):
+        assert [seq.period for seq in kind] == extremal_periods(
+            s.alphabet, pick)
 
 
 # ---------------------------------------------------------------------------

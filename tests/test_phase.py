@@ -3,6 +3,7 @@ with the offset recurrence, and the origin-alignment core check."""
 
 import pytest
 from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from adicshift import (
     ChainPrefix,
@@ -19,6 +20,7 @@ from adicshift import (
     lambda_window,
     m0_window,
 )
+from oracles import bounded_seed_scan, core_membership_by_levels
 from strategies import CHACON, DOUBLING, FIBONACCI, THUE_MORSE, substitutions
 
 
@@ -60,6 +62,13 @@ def test_seeds_verify_by_direct_expansion(s):
         assert 1 <= seed.period <= (len(s.alphabet) + 1) ** 2
         assert expand(s, (seed.left,), seed.period)[-1] == seed.left
         assert expand(s, (seed.right,), seed.period)[0] == seed.right
+
+
+@settings(max_examples=60, deadline=None)
+@given(substitutions(max_letters=4, max_image=4))
+def test_seed_periods_match_bounded_scan(s):
+    assume(not classify_letters(s).short)
+    assert lambda_seeds(s) == bounded_seed_scan(s)
 
 
 # ---------------------------------------------------------------------------
@@ -177,6 +186,26 @@ def test_interior_m0_origin_not_in_deep_images():
     assert core_membership(CHACON, w, 0).consistent
     w5 = m0_window(CHACON, chacon_chain(2), 5)
     assert core_membership(CHACON, w5, 2) == CoreCheck(False, 2, 1)
+
+
+def test_fibonacci_window_refuted_at_level_two():
+    w = Word(tuple("abaababa"), 2)
+    assert core_membership(FIBONACCI, w, 3) == CoreCheck(False, 3, 2)
+    assert core_membership_by_levels(FIBONACCI, w, 3) == CoreCheck(False, 3, 2)
+
+
+@settings(max_examples=100, deadline=None)
+@given(substitutions(max_letters=3, max_image=3), st.data())
+def test_core_membership_matches_level_by_level_search(s, data):
+    word = expand(s, (s.alphabet[0],), 5)
+    assume(len(word) >= 4)
+    start = data.draw(st.integers(0, len(word) - 4))
+    length = data.draw(st.integers(4, min(12, len(word) - start)))
+    window = Word(word[start:start + length],
+                  data.draw(st.integers(0, length)))
+    n = data.draw(st.integers(0, 4))
+    assert (core_membership(s, window, n)
+            == core_membership_by_levels(s, window, n))
 
 
 def test_core_membership_guards():

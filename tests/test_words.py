@@ -1,6 +1,10 @@
 """Core word machinery: parsing, expansion, norms, incidence, classification,
 factor languages, and the structural predicates."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -133,6 +137,18 @@ def test_incidence_chacon():
 
 def test_incidence_identity():
     assert incidence_matrix(IDENTITY).tolist() == [[1]]
+
+
+def test_import_leaves_numpy_unloaded():
+    # numpy is imported on first use of incidence_matrix, not by the package
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    code = ("import sys, adicshift; assert 'numpy' not in sys.modules; "
+            "m = adicshift.incidence_matrix(adicshift.parse_substitution("
+            "'a -> ab\\nb -> a')); "
+            "assert type(m).__module__ == 'numpy' and m.dtype == 'int64'")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                   timeout=60)
 
 
 @settings(max_examples=60)
