@@ -225,16 +225,13 @@ def enumerate_paths(d, level: int, vertex: str) -> list[FinitePath]:
     the most significant digit."""
     if level < 1:
         raise DiagramError("level must be >= 1")
-
-    def walk(k, v):
-        if k == 0:
-            return [()]
-        out = []
-        for j, src in enumerate(d.in_edges(k, v)):
-            out.extend(prefix + (j,) for prefix in walk(k - 1, src))
-        return out
-
-    return [FinitePath(level, vertex, idx) for idx in walk(level, vertex)]
+    # (edge indices from level k + 1 down, source at level k), extended one
+    # level up at a time; each step keeps the deeper edges more significant
+    paths = [((), vertex)]
+    for k in range(level, 0, -1):
+        paths = [((j,) + idx, src) for idx, v in paths
+                 for j, src in enumerate(d.in_edges(k, v))]
+    return [FinitePath(level, vertex, idx) for idx, _ in paths]
 
 
 def vershik_successor(d, p: FinitePath):
@@ -315,12 +312,10 @@ def telescope(d: OrderedDiagram, level_picks) -> OrderedDiagram:
     def block_sources(top_level, k, v):
         """Ordered source labels at top_level of all edge blocks ending at
         (k, v), deepest edge most significant."""
-        if k == top_level:
-            return [v]
-        out = []
-        for src in d.in_edges(k, v):
-            out.extend(block_sources(top_level, k - 1, src))
-        return out
+        sources = [v]
+        for level in range(k, top_level, -1):
+            sources = [src for u in sources for src in d.in_edges(level, u)]
+        return sources
 
     levels = [d.levels[0]]
     incoming = [()]

@@ -10,7 +10,9 @@ ones an ambiguity report.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import accumulate
+from math import inf
 
 from .errors import WindowTooShort
 from .words import (
@@ -52,12 +54,8 @@ class Tiling:
         return full[self.offset:self.offset + self.length]
 
 
-def _parent_in_language(s: Substitution, parent: str) -> bool:
-    # encoded membership at cap |parent|, against a bucketed cap (next
-    # multiple of 8) so repeated queries share one cached language -- the
-    # answer is identical by the cap-filter consistency of factor_language
-    bucket = max(8, -(-len(parent) // 8) * 8)
-    return parent in factor_language(s, bucket).encoded
+_SHORT = 8             # words this long or shorter: factor_language(s, 8)
+_POPS_PER_LETTER = 16  # walk budget: partial covers popped per word letter
 
 
 def _tile_boundaries(s: Substitution, parent, offset):
@@ -66,26 +64,32 @@ def _tile_boundaries(s: Substitution, parent, offset):
     return list(accumulate(map(len, images), initial=-offset))
 
 
-def one_word_tilings(s: Substitution, window, interior_only: bool = False):
-    """All tilings of the window by {sigma(a)}; clipped end tiles are allowed
-    unless interior_only, which demands an exact cover (offset 0, exact end).
-
-    Parents are validated against the factor language at cap |parent| --
-    except when the substitution never expands (max norm 1), where the
-    language contains no multi-letter words and the check is meaningless.
-    The walk runs on the encoded window with an explicit stack, so parents
-    come out encoded and long windows never meet the recursion limit.
-    Result order: (first cut position, parent in alphabet indices); the
-    encoded parents sort in that order, as codes follow the alphabet.
-    """
-    word = s.encode(as_letters(s, window))
-    n = len(word)
-    if n == 0:
-        raise ValueError("window must be nonempty")
+@lru_cache(maxsize=64)
+def _walk_tables(s: Substitution):
+    """Encoded images by encoded letter, and (letter, image) pairs by the
+    first letter of the image."""
     images = dict(zip(s.encode(s.alphabet), s._images_enc))
     starting = {c: [(a, img) for a, img in images.items() if img[0] == c]
-                for c in images}   # images by their first letter
+                for c in images}
+    return images, starting
+
+
+@lru_cache(maxsize=1 << 12)
+def _tiling_walk(s: Substitution, word: str, interior_only: bool,
+                 budgeted: bool):
+    """Every (encoded parent, offset) tiling of the encoded word by images,
+    as a frozenset; see one_word_tilings for the two modes.
+
+    The walk extends partial covers with an explicit stack, so long words
+    never meet the recursion limit.  A budgeted walk returns None when it
+    pops more than _POPS_PER_LETTER * |word| partial covers or finds more
+    than |word| parents: runs of equal one-letter images multiply the
+    tilings.
+    """
+    n = len(word)
+    images, starting = _walk_tables(s)
     found: set[tuple[str, int]] = set()
+    budget = _POPS_PER_LETTER * n if budgeted else inf
 
     # partial covers (next position, encoded parent, offset in first tile)
     if interior_only:
@@ -96,7 +100,7 @@ def one_word_tilings(s: Substitution, window, interior_only: bool = False):
             for offset in range(len(img)):
                 k = len(img) - offset
                 if k >= n:
-                    # single-tile cover: the window sits inside one image
+                    # single-tile cover: the word sits inside one image
                     if img.startswith(word, offset):
                         found.add((a, offset))
                 elif word.startswith(img[offset:]):
@@ -104,6 +108,9 @@ def one_word_tilings(s: Substitution, window, interior_only: bool = False):
     # exact middle tiles, then an exact or (unless interior_only) clipped
     # last tile
     while stack:
+        budget -= 1
+        if budget < 0:
+            return None
         pos, parent, offset = stack.pop()
         for a, img in starting[word[pos]]:
             end = pos + len(img)
@@ -114,7 +121,87 @@ def one_word_tilings(s: Substitution, window, interior_only: bool = False):
                     found.add((parent + a, offset))
             elif not interior_only and end > n and img.startswith(word[pos:]):
                 found.add((parent + a, offset))
+    if budgeted and len(found) > n:
+        return None
+    return frozenset(found)
 
+
+@lru_cache(maxsize=1 << 14)
+def _parent_in_language(s: Substitution, enc: str) -> bool:
+    """Is the encoded word a factor of some sigma^n(a), n >= 1 (the language
+    of factor_language)?  Answered by desubstitution, without building the
+    language at the word's length.
+
+    A word of at most 8 letters is looked up in factor_language(s, 8), and
+    so are the first and last 8 letters of a longer word.  A longer word w
+    lies in the language iff one of its minimal clipped
+    parents u (the tiles of the clipped walk that meet w) is a single letter
+    or lies in the language itself: if w is a factor of sigma^n(a), the
+    tiles of sigma^n(a) = sigma(sigma^(n-1)(a)) meeting w read a factor of
+    sigma^(n-1)(a), a letter when n = 1.  Parents are shorter than w unless
+    every tile shows one letter; then, and when the budgeted walk gives up,
+    w is looked up in the language at the next multiple of 8 above |w|.
+    Parents are decided with an explicit stack, as they may shrink by one
+    letter a level (a -> ab, b -> b on a b^k).
+    """
+    short = factor_language(s, _SHORT).encoded
+    answers: dict[str, bool] = {}
+    parents: dict[str, tuple[str, ...]] = {}
+    stack = [enc]
+    while stack:
+        w = stack[-1]
+        if w not in parents:
+            if len(w) <= _SHORT:
+                answers[w] = w in short
+            elif w[:_SHORT] not in short or w[-_SHORT:] not in short:
+                answers[w] = False     # the language is closed under factors
+            else:
+                found = _tiling_walk(s, w, False, True)
+                if found is None or any(len(p) >= len(w) for p, _ in found):
+                    cap = -(-len(w) // _SHORT) * _SHORT
+                    answers[w] = w in factor_language(s, cap).encoded
+                elif any(len(p) == 1 for p, _ in found):
+                    answers[w] = True
+                else:
+                    parents[w] = tuple(sorted({p for p, _ in found}))
+            if w in answers:
+                stack.pop()
+                continue
+        # w holds iff one of its parents does; decide them one at a time
+        if any(answers.get(p) for p in parents[w]):
+            answers[w] = True
+        else:
+            undecided = next((p for p in parents[w] if p not in answers), None)
+            if undecided is not None:
+                stack.append(undecided)
+                continue
+            answers[w] = False
+        stack.pop()
+    return answers[enc]
+
+
+def one_word_tilings(s: Substitution, window, interior_only: bool = False):
+    """All tilings of the window by {sigma(a)}; clipped end tiles are allowed
+    unless interior_only, which demands an exact cover (offset 0, exact end).
+
+    Parents are kept only when they lie in the factor language, which
+    _parent_in_language decides by desubstituting them in turn -- except
+    when the substitution never expands (max norm 1), where the language
+    contains no multi-letter words and the check is meaningless.  The walk
+    runs on the encoded window with an explicit stack (long windows never
+    meet the recursion limit) and is cached, so the walk that decided a
+    parent's membership also tiles that parent at the next level.
+    Result order: (first cut position, parent in alphabet indices); the
+    encoded parents sort in that order, as codes follow the alphabet.
+    """
+    word = s.encode(as_letters(s, window))
+    n = len(word)
+    if n == 0:
+        raise ValueError("window must be nonempty")
+    found = _tiling_walk(s, word, interior_only, True)
+    if found is None:
+        found = _tiling_walk(s, word, interior_only, False)
+    images = _walk_tables(s)[0]
     if max(map(len, images.values())) > 1:
         found = {(p, off) for (p, off) in found if _parent_in_language(s, p)}
 

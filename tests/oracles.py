@@ -111,6 +111,14 @@ def brute_tilings(s, window, interior_only=False):
                                  tuple(index[a] for a in t[0])))
 
 
+def bucketed_parent_in_language(s, parent):
+    """Language membership of an encoded word by building the factor
+    language: the word is looked up at the next multiple of 8 above its
+    length (at least 8), so that queries share a few cached languages."""
+    bucket = max(8, -(-len(parent) // 8) * 8)
+    return parent in factor_language(s, bucket).encoded
+
+
 def all_paths_sorted(incoming, depth, terminal):
     """Independent path enumeration: generate unsorted via recursive descent,
     then sort by the reversed index tuple (deepest edge most significant).

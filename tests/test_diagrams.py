@@ -29,6 +29,7 @@ from oracles import all_paths_sorted, extremal_periods, path_count_by_matrices
 from strategies import CHACON, ordered_diagrams, substitutions
 
 ODOMETER = StationaryOrderedDiagram(("v",), (("v", "v"),), (2,))
+CHAIN = StationaryOrderedDiagram(("v",), (("v",),), (1,))   # one edge a level
 
 # the induced rule on Chacon return words, with its top multiplicities
 DERIV = StationaryOrderedDiagram(
@@ -143,6 +144,12 @@ def test_enumeration_matches_oracles(d, data):
     assert len(paths) == path_count_by_matrices(inc, d.levels, n, v)
 
 
+def test_deep_single_path_enumerates_without_recursion():
+    # 1,500 levels at the default recursion limit: one path, all edges 0
+    assert enumerate_paths(CHAIN.unroll(1500), 1500, "v") == [
+        FinitePath(1500, "v", (0,) * 1500)]
+
+
 # ---------------------------------------------------------------------------
 # successor
 
@@ -253,6 +260,14 @@ def test_telescope_all_levels_is_identity():
 def test_telescope_empty_picks_rejected():
     with pytest.raises(Exception):
         telescope(DERIV.unroll(2), ())
+
+
+def test_deep_telescope_without_recursion():
+    # one composed block spans 1,499 levels at the default recursion limit
+    t = telescope(CHAIN.unroll(1500), (1, 1500))
+    assert t.levels == (("top",), ("v",), ("v",))
+    assert t.in_edges(1, "v") == ("top",)
+    assert t.in_edges(2, "v") == ("v",)
 
 
 @settings(max_examples=30, deadline=None)

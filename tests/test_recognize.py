@@ -1,11 +1,15 @@
-"""Window tilings, the parse-chain engine, and tower heights."""
+"""Window tilings, language membership, the parse-chain engine, and tower
+heights."""
+
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import adicshift.recognize as recognize
-from adicshift import WindowTooShort, expand, parse_substitution
+from adicshift import (WindowTooShort, expand, factor_language,
+                       parse_substitution)
 from adicshift.recognize import (
     AmbiguityReport,
     ParseChain,
@@ -14,8 +18,9 @@ from adicshift.recognize import (
     one_word_tilings,
     recognize_window,
 )
-from oracles import brute_tilings
-from strategies import CHACON, DOUBLING, FIBONACCI, THUE_MORSE, substitutions
+from oracles import brute_tilings, bucketed_parent_in_language
+from strategies import (CHACON, DOUBLING, FIBONACCI, THUE_MORSE, TWO_BLOCK,
+                        substitutions)
 
 IDENTITY3 = parse_substitution("a -> a\nb -> b\nc -> c")
 
@@ -112,11 +117,9 @@ def test_tilings_reconstruct_window(s, data):
 
 
 @pytest.mark.parametrize("interior_only", [False, True])
-def test_long_windows_tile_without_recursion(monkeypatch, interior_only):
-    # thousands of tiles deep, at the default recursion limit; the parent
-    # filter would build the language up to the parent length (over a
-    # thousand letters), so it is switched off and only the walk runs
-    monkeypatch.setattr(recognize, "_parent_in_language", lambda s, p: True)
+def test_long_windows_tile_without_recursion(interior_only):
+    # thousands of tiles deep, at the default recursion limit, with the
+    # parent filter deciding parents of over a thousand letters
     seventh = expand(CHACON, ("0",), 7)
     sixth = expand(CHACON, ("0",), 6)
     for window, parent in [(seventh, sixth),                 # 3,280 letters
@@ -125,6 +128,61 @@ def test_long_windows_tile_without_recursion(monkeypatch, interior_only):
         assert (parent, 0) in [(t.parent, t.offset) for t in tilings]
         for t in tilings:
             assert t.reconstruct(CHACON) == window
+
+
+# ---------------------------------------------------------------------------
+# language membership by desubstitution
+
+MEMBERSHIP_PANEL = [CHACON, THUE_MORSE, FIBONACCI, TWO_BLOCK] + [
+    parse_substitution(rules) for rules in (
+        # equal one-letter images, non-injective, letters outside the
+        # language: the walk budget and the fallback lookup
+        "a -> a\nb -> a\nc -> cd\nd -> abd",
+        "a -> a\nb -> a\nc -> bc",
+        "a -> dbc\nb -> aca\nc -> a\nd -> d",
+        "a -> b\nb -> dbb\nc -> db\nd -> b",
+        # c is outside the language, and b^9 lies only in its image
+        "a -> ab\nb -> a\nc -> bbbbbbbbbba",
+    )]
+
+
+def membership_queries(s, language, limit):
+    """The factors longer than 8 letters and every one-letter mutation of
+    them, sorted; more than `limit` are thinned to every k-th."""
+    codes = s.encode(s.alphabet)
+    queries = set()
+    for w in language:
+        if len(w) > 8:
+            queries.update(w[:i] + c + w[i + 1:]
+                           for i in range(len(w)) for c in codes)
+    queries = sorted(queries)
+    return queries[::max(1, -(-len(queries) // limit))]
+
+
+@pytest.mark.parametrize("s", MEMBERSHIP_PANEL,
+                         ids=lambda s: s.rule_text().replace("\n", "; "))
+def test_membership_matches_factor_language(s):
+    language = factor_language(s, 24).encoded
+    for w in membership_queries(s, language, 20_000):
+        assert recognize._parent_in_language(s, w) == (w in language), \
+            s.decode(w)
+
+
+@settings(max_examples=30, deadline=None)
+@given(substitutions(max_letters=4, max_image=4))
+def test_membership_matches_factor_language_random(s):
+    language = factor_language(s, 16).encoded
+    for w in membership_queries(s, language, 2_000):
+        assert recognize._parent_in_language(s, w) == (w in language), \
+            s.decode(w)
+
+
+def test_membership_chain_without_recursion():
+    # every parent of a b^k is a b^(k-1): 2,000 levels of desubstitution at
+    # the default recursion limit
+    s = parse_substitution("a -> ab\nb -> b")
+    assert recognize._parent_in_language(s, s.encode("a" + "b" * 2000))
+    assert not recognize._parent_in_language(s, s.encode("b" * 999 + "a"))
 
 
 # ---------------------------------------------------------------------------
@@ -183,6 +241,36 @@ def test_recognize_nested_partitions():
         coarse = {c for c in chain_cut_positions(chain, level)
                   if c is not None}
         assert coarse <= fine
+
+
+ORACLE_PANEL = {"chacon": CHACON, "thue-morse": THUE_MORSE,
+                "period-doubling": parse_substitution("a -> ab\nb -> aa"),
+                "fibonacci": FIBONACCI}
+
+
+@pytest.mark.parametrize("s", ORACLE_PANEL.values(), ids=ORACLE_PANEL.keys())
+def test_recognize_window_agrees_with_bucketed_language(s, monkeypatch):
+    # the parse with membership by desubstitution against the parse with
+    # every parent looked up in a factor language built to its length
+    rng = random.Random(5)
+    text = expand(s, (s.alphabet[0],), 1)
+    while len(text) < 2_000:
+        text = expand(s, text, 1)
+    windows = []
+    for length in (65, 129, 257, 401):
+        for _ in range(3):
+            i = rng.randrange(len(text) - length)
+            windows.append(text[i:i + length])
+    if s is FIBONACCI:
+        windows.append(expand(s, "a", 12)[166:231])
+    engine = [recognize_window(s, w, 3) for w in windows]
+    monkeypatch.setattr(recognize, "_parent_in_language",
+                        bucketed_parent_in_language)
+    assert engine == [recognize_window(s, w, 3) for w in windows]
+    if s is FIBONACCI:
+        # the edge tile at the clipped interior keeps this window ambiguous
+        assert isinstance(engine[-1], AmbiguityReport)
+        assert engine[-1].note == "chains disagree on the interior"
 
 
 def test_chain_expansions_match_window():
