@@ -291,7 +291,7 @@ class MinimalComponent:
     scale: int
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def _grown_factors(s: Substitution, seed: tuple[str, ...], cap: int,
                    steps: int = 1):
     """All factors (length <= cap) of every steps-fold iterate of `seed`,
@@ -653,21 +653,22 @@ def is_m_primitive(s: Substitution, scale: int = 8):
 # end-to-end pipeline
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def diagram_via_derivative(s: Substitution) -> StationaryOrderedDiagram:
     """Return-word route to a stationary ordered diagram: derivative rule as
     the read substitution, return-word lengths as the top multiplicities.
     The scale is grown automatically until every marker gap fits."""
-    last_error: Exception | None = None
-    for scale in (8, 16, 32, 64, 128):
+    scales = (8, 16, 32, 64, 128)
+    for scale in scales:
         try:
             rs = return_words(s, scale)
             break
-        except ScaleTooSmall as e:
-            last_error = e
-    else:
-        raise last_error  # type: ignore[misc]
-    tau = derivative_substitution(rs, s)
+        except ScaleTooSmall:
+            # re-raised from here so that no local keeps the exception: a
+            # kept one ties its traceback's frames into a reference cycle
+            if scale == scales[-1]:
+                raise
+    tau =derivative_substitution(rs, s)
     verdict = is_proper(tau, 8)
     if isinstance(verdict, NotProperUpTo):
         raise DiagramError(

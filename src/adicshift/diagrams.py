@@ -19,7 +19,7 @@ import re
 from dataclasses import dataclass
 from functools import cached_property
 
-from .errors import DiagramError, ImproperOrdering
+from .errors import DiagramError, ImproperOrdering, TooManyPaths
 from .words import Substitution, _cycle
 
 
@@ -40,6 +40,9 @@ class _Maximal:
 Maximal = _Maximal()
 
 TOP = "top"
+
+# enumerate_paths refuses to materialise more paths than this
+MAX_ENUMERATED_PATHS = 100_000
 
 
 @dataclass(frozen=True)
@@ -222,9 +225,22 @@ def maximal_path(d, level: int, vertex: str) -> FinitePath:
 def enumerate_paths(d, level: int, vertex: str) -> list[FinitePath]:
     """All paths from the top to the vertex, in lexicographic order: paths
     compare at the largest index where they differ, so the deepest edge is
-    the most significant digit."""
+    the most significant digit.  Raises TooManyPaths, before building any,
+    when there are more than MAX_ENUMERATED_PATHS of them."""
     if level < 1:
         raise DiagramError("level must be >= 1")
+    # count first: the path count can be exponential in the level
+    counts = {vertex: 1}
+    for k in range(level, 0, -1):
+        above: dict = {}
+        for v, c in counts.items():
+            for src in d.in_edges(k, v):
+                above[src] = above.get(src, 0) + c
+        counts = above
+    if sum(counts.values()) > MAX_ENUMERATED_PATHS:
+        raise TooManyPaths(
+            f"more than {MAX_ENUMERATED_PATHS} paths into {vertex!r} at "
+            f"level {level}")
     # (edge indices from level k + 1 down, source at level k), extended one
     # level up at a time; each step keeps the deeper edges more significant
     paths = [((), vertex)]
@@ -238,15 +254,30 @@ def vershik_successor(d, p: FinitePath):
     """The next path in lexicographic order among paths to p's terminal:
     increment the first non-maximal edge, reset the prefix to the minimal
     path into the new source.  Returns Maximal when every edge is maximal."""
-    chain = p.vertices(d)
-    for k in range(1, p.level + 1):
-        edges = d.in_edges(k, chain[k])
-        j = p.indices[k - 1]
-        if j + 1 < len(edges):
-            prefix = (0,) * (k - 1)
-            return FinitePath(p.level, p.terminal,
-                              prefix + (j + 1,) + p.indices[k:])
-    return Maximal
+    return next(_successors(d, p), Maximal)
+
+
+def _successors(d, p: FinitePath):
+    """The paths after p into its terminal, in lexicographic order, up to
+    the maximal one.  The vertex chain is carried from step to step, so a
+    step reads and rewrites only the edges up to its carry: amortised O(1)
+    edges a step where vertices have two or more incoming edges."""
+    indices, chain = list(p.indices), list(p.vertices(d))
+    while True:
+        for k in range(1, p.level + 1):
+            edges = d.in_edges(k, chain[k])
+            if indices[k - 1] + 1 < len(edges):
+                break
+        else:
+            return
+        indices[k - 1] += 1
+        source = edges[indices[k - 1]]
+        # the prefix becomes the minimal path into the new source
+        for m in range(k - 1, 0, -1):
+            chain[m] = source
+            indices[m - 1] = 0
+            source = d.in_edges(m, source)[0]
+        yield FinitePath(p.level, p.terminal, tuple(indices))
 
 
 # ---------------------------------------------------------------------------

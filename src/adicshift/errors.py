@@ -53,6 +53,10 @@ class InsufficientGrowth(ValueError):
     """The chain is not yet deep enough for the requested window radius."""
 
 
+class TooManyPaths(ValueError):
+    """A path enumeration would materialise more paths than its budget."""
+
+
 class ImproperOrdering(RuntimeError):
     """The diagram's ordering does not admit a well-defined successor here
     (several maximal paths and no caller-supplied wrap-around table)."""

@@ -9,6 +9,8 @@ generates; all depth and cut notions here are window-relative.
 
 from __future__ import annotations
 
+import itertools
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 from math import isqrt
@@ -16,11 +18,10 @@ from math import isqrt
 from .diagrams import (
     TOP,
     FinitePath,
-    Maximal,
     StationaryOrderedDiagram,
+    _successors,
     minimal_path,
     read_substitution,
-    vershik_successor,
 )
 from .errors import AlphabetError, SpanMismatch, WindowTooShort
 from .recognize import ParseChain
@@ -103,7 +104,7 @@ def build_j_symbol(source, base: str, j: int) -> JSymbol:
     return JSymbol(base, j, tuple(rows))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def _tower_heights(d: StationaryOrderedDiagram, up_to: int):
     """heights[k][v] = number of paths from the top into v at level k."""
     heights = [{TOP: 1}]
@@ -214,19 +215,16 @@ def path_window(d: StationaryOrderedDiagram, p: FinitePath, j: int,
 
     The path sits at column 0; its tower spans [-rank, width - rank), and
     the window is the radius neighbourhood clipped to that extent.  Box
-    positions come from a lazy descent, so deep towers never materialise.
+    positions come from a descent into the boxes meeting the window only,
+    so deep towers never materialise.
     """
     if not 0 <= j <= p.level:
         raise ValueError("row level must be within the path depth")
-    heights = _tower_heights(d, p.level)
     n = tower_rank(d, p)
-    width = heights[p.level][p.terminal]
-    lo = max(-radius, -n)
-    hi = min(radius + 1, width - n)
-    rows = [tuple((TOP, k, k + 1) for k in range(lo, hi))]
-    for i in range(1, j + 1):
-        rows.append(tuple(_row_slice(d, heights, p, -n, i, lo, hi)))
-    return JSequenceWindow((lo, hi), tuple(rows))
+    width = _tower_heights(d, p.level)[p.level][p.terminal]
+    tower = _TowerSlice(d, p.level, p.terminal, j,
+                        max(n - radius, 0), min(n + radius + 1, width))
+    return tower.window(n, radius)
 
 
 def tower_rank(d: StationaryOrderedDiagram, p: FinitePath) -> int:
@@ -241,25 +239,53 @@ def tower_rank(d: StationaryOrderedDiagram, p: FinitePath) -> int:
     return rank
 
 
-def _row_slice(d, heights, p: FinitePath, tower_start: int, row: int,
-               lo: int, hi: int):
-    """(label, start, stop) boxes of the given row over [lo, hi), clipped;
-    descends only into children overlapping the window."""
-    stack = [(p.level, p.terminal, tower_start)]
-    while stack:
-        level, vertex, offset = stack.pop()
-        if level == row:
-            yield (vertex, max(offset, lo),
-                   min(offset + heights[level][vertex], hi))
-            continue
-        pending = []
-        at = offset
-        for b in d.in_edges(level, vertex):
-            w = heights[level - 1][b]
-            if at < hi and at + w > lo:
-                pending.append((level - 1, b, at))
-            at += w
-        stack.extend(reversed(pending))
+class _TowerSlice:
+    """Rows 1..j of the tower over `vertex` at `level`, sliced once over
+    the tower columns [lo, hi) (column 0 is the minimal path).  Windows of
+    single columns are cut from the slice when first asked for, and kept.
+    """
+
+    def __init__(self, d, level: int, vertex: str, j: int, lo: int,
+                 hi: int):
+        heights = _tower_heights(d, level)
+        self.width = heights[level][vertex]
+        # one descent, a row at a time, into the boxes meeting [lo, hi);
+        # boxes keep their unclipped tower columns
+        row = [(vertex, 0, self.width)]
+        rows = [row]
+        for k in range(level, 1, -1):
+            below = []
+            for v, at, _ in row:
+                for b in d.in_edges(k, v):
+                    w = heights[k - 1][b]
+                    if at < hi and at + w > lo:
+                        below.append((b, at, at + w))
+                    at += w
+            rows.append(below)
+            row = below
+        self.rows = rows[::-1][:j]
+        self.starts = [[start for _, start, _ in row] for row in self.rows]
+        self.windows: dict = {}
+        self.unit_rows: dict = {}   # row 0 by rebased span, shared
+
+    def window(self, column: int, radius: int) -> JSequenceWindow:
+        """The radius window of one column, clipped to the tower and
+        rebased so the column sits at 0; it must lie within [lo, hi)."""
+        if column not in self.windows:
+            lo = max(column - radius, 0)
+            hi = min(column + radius + 1, self.width)
+            span = (lo - column, hi - column)
+            if span not in self.unit_rows:
+                self.unit_rows[span] = tuple((TOP, k, k + 1)
+                                             for k in range(*span))
+            rows = [self.unit_rows[span]]
+            for row, starts in zip(self.rows, self.starts):
+                cut = row[bisect_right(starts, lo) - 1:bisect_left(starts, hi)]
+                rows.append(tuple(
+                    (label, max(start, lo) - column, min(stop, hi) - column)
+                    for label, start, stop in cut))
+            self.windows[column] = JSequenceWindow(span, tuple(rows))
+        return self.windows[column]
 
 
 # ---------------------------------------------------------------------------
@@ -277,9 +303,10 @@ class DepthReport:
 
 def _agreement_depth(w1: JSequenceWindow, w2: JSequenceWindow) -> int:
     """Highest row up to which two windows on one span agree, or -1."""
-    top = min(w1.level, w2.level)
     depth = -1
-    while depth < top and w1.rows[depth + 1] == w2.rows[depth + 1]:
+    for r1, r2 in zip(w1.rows, w2.rows):
+        if r1 is not r2 and r1 != r2:
+            break
         depth += 1
     return depth
 
@@ -382,6 +409,9 @@ def expansiveness_witness_search(d: StationaryOrderedDiagram, i: int,
     both tower ends, so every window covers the full span and agreement is
     never an artifact of edge truncation; only paths into a common terminal
     are paired, so the comparison is between two columns of one tower.
+    The pool is a run of consecutive columns, so rows 1..i of the tower are
+    sliced once per vertex over the columns the pool's windows cover, and
+    each window is cut from that slice when a pair first needs it.
     Each pair is compared over rows <= i by their agreement depth (the
     depth of depth_and_cuts, without its common cuts); pairs agreeing
     up to row 1 but not row i are additionally pushed down with
@@ -397,19 +427,21 @@ def expansiveness_witness_search(d: StationaryOrderedDiagram, i: int,
     examined = 0
     for v in d.alphabet:
         pool = _path_pool(d, level, v, radius, per_vertex)
-        for a in range(len(pool)):
+        if len(pool) < 2:
+            continue
+        # pool[a] sits at tower column radius + a
+        tower = _TowerSlice(d, level, v, i, 0, 2 * radius + len(pool))
+        for a in range(len(pool) - 1):
+            x, wx = pool[a], tower.window(radius + a, radius)
             for b in range(a + 1, len(pool)):
                 if examined >= budget:
                     return NoneWithinBudget(budget, examined, radius)
                 examined += 1
-                x, y = pool[a], pool[b]
-                depth = _common_depth(d, x, y, i, radius, cache)
+                y, wy = pool[b], tower.window(radius + b, radius)
+                depth = _agreement_depth(wx, wy)
                 if depth >= i:
-                    return CompatibleWitness(
-                        x, y,
-                        (_window(d, x, i, radius, cache),
-                         _window(d, y, i, radius, cache)),
-                        depth, radius, "enumeration", examined)
+                    return CompatibleWitness(x, y, (wx, wy), depth, radius,
+                                             "enumeration", examined)
                 if depth >= 1:
                     fx, fy = x, y
                     for _ in range(i - 1):
@@ -431,19 +463,14 @@ def expansiveness_witness_search(d: StationaryOrderedDiagram, i: int,
 def _path_pool(d: StationaryOrderedDiagram, level: int, vertex: str,
                radius: int, per_vertex: int):
     """Successive paths into the vertex whose column keeps the full radius
-    window inside the tower, starting at the lowest such column."""
+    window inside the tower, starting at the lowest such column: the paths
+    at tower columns radius, radius + 1, ..., at most per_vertex of them,
+    stepped by one chain-carrying successor walk from the minimal path."""
     width = _tower_heights(d, level)[level][vertex]
-    pool = []
-    p = minimal_path(d, level, vertex)
-    rank = 0
-    while len(pool) < per_vertex and rank < width - radius:
-        if rank >= radius:
-            pool.append(p)
-        nxt = vershik_successor(d, p)
-        if nxt is Maximal:
-            break
-        p, rank = nxt, rank + 1
-    return pool
+    first = minimal_path(d, level, vertex)
+    stop = max(radius, min(width - radius, radius + per_vertex))
+    paths = itertools.chain((first,), _successors(d, first))
+    return list(itertools.islice(paths, radius, stop))
 
 
 # ---------------------------------------------------------------------------

@@ -354,7 +354,7 @@ def _windows(enc: str, cap: int) -> set[str]:
     return {enc[i:i + cap] for i in range(len(enc) - cap + 1)}
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def factor_language(s: Substitution, cap: int) -> FactorLanguage:
     """L(sigma) cut at length cap via the bounded-window transfer map.
 

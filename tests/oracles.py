@@ -7,11 +7,14 @@ these functions.
 """
 
 import itertools
+from math import isqrt
 
 import numpy as np
 
-from adicshift import (CoreCheck, LambdaSeed, expand, factor_language, norms,
-                       one_word_tilings)
+from adicshift import (TOP, CompatibleWitness, CoreCheck, FinitePath,
+                       JSequenceWindow, LambdaSeed, NoneWithinBudget, expand,
+                       factor_language, norms, one_word_tilings,
+                       shift_down_path)
 
 
 def naive_factors(s, cap, depth):
@@ -239,3 +242,115 @@ def core_membership_by_levels(s, window, n):
         if not aligned(window.letters, window.marker, k):
             return CoreCheck(False, n, k)
     return CoreCheck(True, n)
+
+
+def tower_heights(d, level):
+    """heights[k][v]: the number of paths from the top into v at level k,
+    summed over the read images level by level."""
+    heights = [{TOP: 1}, {a: d.top_count(a) for a in d.alphabet}]
+    for _ in range(2, level + 1):
+        heights.append({a: sum(heights[-1][b] for b in d.read_image(a))
+                        for a in d.alphabet})
+    return heights
+
+
+def rebuilt_successor(d, p):
+    """The next path into p's terminal, or None after the maximal one, with
+    the vertex chain rebuilt from the terminal at every step."""
+    chain = p.vertices(d)
+    for k in range(1, p.level + 1):
+        j = p.indices[k - 1]
+        if j + 1 < len(d.in_edges(k, chain[k])):
+            return FinitePath(p.level, p.terminal,
+                              (0,) * (k - 1) + (j + 1,) + p.indices[k:])
+    return None
+
+
+def descent_path_window(d, p, j, radius):
+    """Rows 0..j of the tower around one path's column, each row found by
+    its own descent from the terminal; tower heights and the path's rank
+    are recounted from the read images."""
+    heights = tower_heights(d, p.level)
+    chain = p.vertices(d)
+    n = sum(heights[k - 1][b]
+            for k in range(1, p.level + 1)
+            for b in d.in_edges(k, chain[k])[:p.indices[k - 1]])
+    lo = max(-radius, -n)
+    hi = min(radius + 1, heights[p.level][p.terminal] - n)
+
+    def row_boxes(row, level, vertex, offset):
+        if level == row:
+            yield (vertex, max(offset, lo),
+                   min(offset + heights[level][vertex], hi))
+            return
+        for b in d.in_edges(level, vertex):
+            w = heights[level - 1][b]
+            if offset < hi and offset + w > lo:
+                yield from row_boxes(row, level - 1, b, offset)
+            offset += w
+
+    rows = [tuple((TOP, k, k + 1) for k in range(lo, hi))]
+    rows += [tuple(row_boxes(i, p.level, p.terminal, -n))
+             for i in range(1, j + 1)]
+    return JSequenceWindow((lo, hi), tuple(rows))
+
+
+def pairwise_witness_search(d, i, radius, budget):
+    """The expansiveness witness search with every window built on its own:
+    the pool walked by rebuilt_successor, one descent_path_window per path,
+    and the same pair order, budget accounting and shift-down re-check."""
+    level = max(i + radius, 2)
+    per_vertex = max(3, isqrt(2 * budget // max(1, len(d.alphabet))) + 1)
+    windows = {}
+
+    def window(p):
+        if p not in windows:
+            windows[p] = descent_path_window(d, p, i, radius)
+        return windows[p]
+
+    def depth_of(x, y):
+        wx, wy = window(x), window(y)
+        lo, hi = max(wx.span[0], wy.span[0]), min(wx.span[1], wy.span[1])
+        if lo >= hi:
+            return -1
+        if wx.span != wy.span:
+            wx, wy = wx.clip(lo, hi), wy.clip(lo, hi)
+        depth = -1
+        while depth < i and wx.rows[depth + 1] == wy.rows[depth + 1]:
+            depth += 1
+        return depth
+
+    examined = 0
+    for v in d.alphabet:
+        width = tower_heights(d, level)[level][v]
+        pool, rank, p = [], 0, FinitePath(level, v, (0,) * level)
+        while p is not None and len(pool) < per_vertex:
+            if rank + radius >= width:
+                break
+            if rank >= radius:
+                pool.append(p)
+            p, rank = rebuilt_successor(d, p), rank + 1
+        for a, x in enumerate(pool):
+            for y in pool[a + 1:]:
+                if examined >= budget:
+                    return NoneWithinBudget(budget, examined, radius)
+                examined += 1
+                depth = depth_of(x, y)
+                if depth >= i:
+                    return CompatibleWitness(x, y, (window(x), window(y)),
+                                             depth, radius, "enumeration",
+                                             examined)
+                if depth < 1:
+                    continue
+                fx, fy = x, y
+                for _ in range(i - 1):
+                    fx, fy = shift_down_path(d, fx), shift_down_path(d, fy)
+                if fx == fy or examined >= budget:
+                    continue
+                examined += 1
+                depth = depth_of(fx, fy)
+                if depth >= i:
+                    return CompatibleWitness(fx, fy, (window(fx), window(fy)),
+                                             depth, radius, "shift-down",
+                                             examined)
+    return NoneWithinBudget(budget, examined, radius)

@@ -2,7 +2,8 @@
 
 from hypothesis import strategies as st
 
-from adicshift import Substitution, parse_substitution
+from adicshift import (StationaryOrderedDiagram, Substitution,
+                       parse_substitution)
 
 CHACON = parse_substitution("0 -> 00s0\ns -> s\n1 -> 0110")
 THUE_MORSE = parse_substitution("a -> ab\nb -> ba")
@@ -26,6 +27,15 @@ def substitutions(draw, max_letters=5, max_image=5):
                             max_size=max_image)))
         for _ in range(k))
     return Substitution(tuple(alphabet), images)
+
+
+@st.composite
+def stationary_diagrams(draw, max_letters=3, max_image=3, max_top=3):
+    """Random stationary ordered diagram: the read rule a random
+    substitution, each top count between 1 and max_top."""
+    s = draw(substitutions(max_letters, max_image))
+    tops = tuple(draw(st.integers(1, max_top)) for _ in s.alphabet)
+    return StationaryOrderedDiagram(s.alphabet, s.images, tops)
 
 
 @st.composite

@@ -1,6 +1,8 @@
 """Marked-word nesting, multi-edge encoding, minimal components, return
 words, the derivative rule, and the structural predicates behind them."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -36,7 +38,9 @@ from adicshift import (
     vershik_orbit_coding,
     minimal_path,
 )
+from adicshift import build_j_symbol, factor_language, stationary_from_substitution
 from adicshift.constructions import _grown_factors
+from adicshift.symbols import _tower_heights
 from oracles import naive_seed_factors, primitive_blocks
 from strategies import (CHACON, DOUBLING, FIBONACCI, IDENTITY, THUE_MORSE as TM,
                         TWO_BLOCK, substitutions)
@@ -438,3 +442,25 @@ def test_derivative_coding_spells_the_fixed_point():
         translated += text[:len(chunk)]
         p += len(chunk)
     assert "".join(expand(CHACON, ("0",), 8)).startswith(translated)
+
+
+def test_caches_stay_bounded_over_many_substitutions():
+    rng = random.Random(300)
+    caches = (factor_language, _grown_factors, diagram_via_derivative,
+              _tower_heights)
+    for n in range(300):
+        # two fresh letter names per system, so every call is a new key
+        a, b = f"a{n}", f"b{n}"
+        s = Substitution((a, b), tuple(
+            (a,) + tuple(rng.choice((a, b)) for _ in range(rng.randint(0, 2)))
+            + (b,) for _ in range(2)))
+        factor_language(s, 6)
+        _grown_factors(s, (a,), 4)
+        diagram_via_derivative(s)
+        build_j_symbol(stationary_from_substitution(s, (1, 2)), a, 2)
+        for cache in caches:
+            info = cache.cache_info()
+            assert info.maxsize is not None
+            assert info.currsize <= info.maxsize
+    assert all(cache.cache_info().misses > cache.cache_info().maxsize
+               for cache in caches)

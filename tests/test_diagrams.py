@@ -1,6 +1,8 @@
 """Ordered diagrams: structure checks, path enumeration, the successor map,
 extremal paths, telescoping, orbit coding, and DOT export."""
 
+import time
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,6 +15,7 @@ from adicshift import (
     PeriodicLabels,
     StationaryOrderedDiagram,
     Substitution,
+    TooManyPaths,
     enumerate_paths,
     export_dot,
     extremal_paths,
@@ -25,6 +28,7 @@ from adicshift import (
     vershik_orbit_coding,
     vershik_successor,
 )
+from adicshift.diagrams import MAX_ENUMERATED_PATHS, _successors
 from oracles import all_paths_sorted, extremal_periods, path_count_by_matrices
 from strategies import CHACON, ordered_diagrams, substitutions
 
@@ -150,6 +154,18 @@ def test_deep_single_path_enumerates_without_recursion():
         FinitePath(1500, "v", (0,) * 1500)]
 
 
+def test_path_budget_refuses_before_building():
+    doubling = StationaryOrderedDiagram(("v",), (("v", "v"),), (2,))
+    start = time.perf_counter()
+    with pytest.raises(TooManyPaths):
+        enumerate_paths(doubling.unroll(1500), 1500, "v")   # 2^1500 paths
+    assert time.perf_counter() - start < 1.0
+    assert 2 ** 16 <= MAX_ENUMERATED_PATHS < 2 ** 17
+    assert len(enumerate_paths(doubling, 16, "v")) == 2 ** 16
+    with pytest.raises(ValueError):
+        enumerate_paths(doubling, 17, "v")
+
+
 # ---------------------------------------------------------------------------
 # successor
 
@@ -175,6 +191,7 @@ def test_successor_enumerates_lexicographically(d, data):
         walked.append(nxt)
         assert len(walked) <= len(expected)
     assert walked == expected
+    assert list(_successors(d, walked[0])) == expected[1:]
 
 
 def test_successor_on_derivative_depth3_visits_everything():

@@ -52,7 +52,7 @@ def test_short_letters_rejected():
         lambda_seeds(CHACON)
 
 
-@settings(max_examples=50)
+@settings(max_examples=50, deadline=None)
 @given(substitutions(max_letters=4, max_image=4))
 def test_seeds_verify_by_direct_expansion(s):
     assume(not classify_letters(s).short)

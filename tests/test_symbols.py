@@ -3,7 +3,7 @@ and path windows, compatibility depth, cuts, eventual periodicity, the
 shift-down map, and the expansiveness witness search."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from adicshift import (
@@ -34,7 +34,9 @@ from adicshift import (
     vershik_successor,
     window_from_parse,
 )
-from strategies import CHACON, DOUBLING, THUE_MORSE, substitutions
+from oracles import descent_path_window, pairwise_witness_search
+from strategies import (CHACON, DOUBLING, THUE_MORSE, stationary_diagrams,
+                        substitutions)
 
 ODOMETER = StationaryOrderedDiagram(("v",), (("v", "v"),), (2,))
 
@@ -235,6 +237,17 @@ def test_tower_rank_matches_enumeration_order(s):
     assert [tower_rank(d, p) for p in paths] == list(range(len(paths)))
 
 
+@settings(max_examples=60, deadline=None)
+@given(stationary_diagrams(), st.integers(1, 4),
+       st.sampled_from((0, 1, 2, 5)), st.data())
+def test_path_window_matches_per_row_descent(d, level, radius, data):
+    v = data.draw(st.sampled_from(d.alphabet))
+    j = data.draw(st.integers(0, level))
+    for p in enumerate_paths(d, level, v):
+        assert path_window(d, p, j, radius) == descent_path_window(
+            d, p, j, radius)
+
+
 def test_path_window_level_guard():
     p = minimal_path(ODOMETER, 3, "v")
     with pytest.raises(ValueError):
@@ -347,6 +360,28 @@ def test_witness_search_is_deterministic():
 def test_witness_search_exhausts_budget_without_witness():
     r = expansiveness_witness_search(DERIV, 2, 64, 20_000)
     assert r == NoneWithinBudget(budget=20_000, examined=20_000, radius=64)
+
+
+# a one-column tower: with radius 1 every pool is empty
+@example(StationaryOrderedDiagram(("v",), (("v",),), (1,)), 1, 1, 20)
+# radius 0 on a two-column tower: the pool runs up to the maximal path
+@example(StationaryOrderedDiagram(("v",), (("v",),), (2,)), 1, 0, 500)
+@settings(max_examples=150, deadline=None)
+@given(stationary_diagrams(), st.integers(1, 3),
+       st.sampled_from((0, 1, 2, 5, 16)), st.sampled_from((1, 20, 500)))
+def test_witness_search_matches_pairwise_reference(d, rows, radius, budget):
+    assert expansiveness_witness_search(d, rows, radius, budget) == \
+        pairwise_witness_search(d, rows, radius, budget)
+
+
+def test_witness_search_on_narrow_and_exhausted_towers():
+    one_column = StationaryOrderedDiagram(("v",), (("v",),), (1,))
+    assert expansiveness_witness_search(one_column, 1, 1, 20) == \
+        NoneWithinBudget(budget=20, examined=0, radius=1)
+    two_columns = StationaryOrderedDiagram(("v",), (("v",),), (2,))
+    w = expansiveness_witness_search(two_columns, 1, 0, 500)
+    assert (w.left.indices, w.right.indices) == ((0, 0), (1, 0))
+    assert (w.via, w.examined, w.depth) == ("enumeration", 1, 1)
 
 
 def test_witness_search_input_guard():

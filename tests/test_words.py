@@ -99,7 +99,7 @@ def test_expand_word_transport_marker():
     assert w.marker == 4
 
 
-@settings(max_examples=60)
+@settings(max_examples=60, deadline=None)
 @given(substitutions(), st.data(), st.integers(0, 4), st.integers(0, 4))
 def test_expand_composes(s, data, m, n):
     w = tuple(data.draw(st.lists(st.sampled_from(s.alphabet), min_size=1, max_size=4)))
