@@ -5,7 +5,8 @@ report is a sequence of ``key: value`` lines in a fixed order, so a rerun
 with the same inputs is byte-identical.  Exit codes: 0 on success, 2 on
 unusable input (bad grammar, unreadable file, bad flags), 3 when an
 operation fails for scale or structural reasons (a short window, a missing
-nesting structure, an unbounded short block) -- those failures still print
+nesting structure, an unbounded short block, a box matrix over its size
+budget) -- those failures still print
 the report head plus an ``error:`` line, so the verdict is diffable too.
 """
 
@@ -24,8 +25,8 @@ from .diagrams import (StationaryOrderedDiagram, export_dot, minimal_path,
 from .errors import (AlphabetError, CountExceedsImage, DecompositionFailure,
                      DiagramError, GrammarError, ImproperOrdering,
                      InsufficientGrowth, NoNesting, ScaleTooSmall,
-                     ShortLettersPresent, SpanMismatch, UnboundedShorts,
-                     WindowTooShort)
+                     ShortLettersPresent, SpanMismatch, SymbolTooLarge,
+                     UnboundedShorts, WindowTooShort)
 from .phase import core_membership, lambda_seeds, lambda_window
 from .recognize import AmbiguityReport, recognize_window
 from .symbols import box_matrix_text, build_j_symbol
@@ -38,7 +39,7 @@ _INPUT_ERRORS = (GrammarError, AlphabetError, OSError, ValueError)
 _DOMAIN_ERRORS = (ScaleTooSmall, WindowTooShort, InsufficientGrowth,
                   UnboundedShorts, NoNesting, CountExceedsImage,
                   ShortLettersPresent, SpanMismatch, DecompositionFailure,
-                  ImproperOrdering, DiagramError)
+                  ImproperOrdering, DiagramError, SymbolTooLarge)
 
 
 def _load(path: str) -> tuple[Substitution, str]:

@@ -16,6 +16,7 @@ the supporting cast: they certify when each route applies.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 from math import lcm
@@ -35,8 +36,8 @@ from .words import (
     Unbounded,
     Word,
     _cycle,
-    _downward,
     _reach,
+    _window_closure,
     _windows,
     classify_letters,
     factor_language,
@@ -295,31 +296,10 @@ class MinimalComponent:
 def _grown_factors(s: Substitution, seed: tuple[str, ...], cap: int,
                    steps: int = 1):
     """All factors (length <= cap) of every steps-fold iterate of `seed`,
-    via the bounded-window transfer map; exact for the same reason
-    factor_language is, and includes the seed word itself.  The factors
-    are returned encoded (Substitution.encode), closed downward in time
-    linear in their number.
-
-    The power sigma^steps is never materialised: windows are pushed through
-    sigma one application at a time, tagged with their step count mod steps,
-    and only the multiple-of-steps generations are collected.  Each
-    (window, phase) pair is expanded once, which covers the same factors
-    because a short factor of sigma(w) always sits inside the image of a
-    short factor of w.
-    """
-    total = set(_windows(s.encode(seed), cap))
-    seen = {(w, 0) for w in total}
-    work = list(seen)
-    while work:
-        u, phase = work.pop()
-        phase = (phase + 1) % steps
-        for w in _windows(u.translate(s._table), cap):
-            if (w, phase) not in seen:
-                seen.add((w, phase))
-                work.append((w, phase))
-                if phase == 0:
-                    total.add(w)
-    return frozenset(_downward(total, cap))
+    the seed word itself included, encoded: one _window_closure, which
+    steps through sigma one application at a time and collects every
+    steps-th generation, so sigma^steps is never materialised."""
+    return _window_closure(s, (s.encode(seed),), cap, steps)
 
 
 def _junction_ok(s: Substitution, power: int, r: str, l: str, factors,
@@ -339,23 +319,22 @@ def _junction_ok(s: Substitution, power: int, r: str, l: str, factors,
         for _ in range(power):
             tail = tail.translate(s._table)[-cap:]
             head = head.translate(s._table)[:cap]
-    combined = tail + head
-    mid = len(tail)
-    for i in range(len(combined)):
-        for j in range(i + 1, min(len(combined), i + cap) + 1):
-            if i < mid < j and combined[i:j] not in factors:
-                return False
-    return True
+    # factors is closed under taking factors, so the longest windows
+    # across the junction are enough
+    left, right = tail[max(0, len(tail) - cap + 1):], head[:cap - 1]
+    return not (left and right) or _windows(left + right, cap) <= factors
 
 
 def minimal_components(s: Substitution, scale: int = 8):
     """Scale-bounded component census from one-letter fixed seeds.
 
     Seeds are the long letters lying on a cycle of the first-letter map (so
-    some expansion power starts with the seed again).  Seeds with equal
-    factor sets share a component; a seed whose factor set strictly contains
-    another's is discarded, since its limit point already accumulates on the
-    smaller system.  Within each component the junction pair is the
+    some expansion power starts with the seed again).  A seed's factor set,
+    _grown_factors stepping by its cycle length, costs about its number of
+    distinct scale-length windows.  Seeds with equal factor sets share a
+    component; a seed whose factor set strictly contains another's is
+    discarded, since its limit point already accumulates on the smaller
+    system.  Within each component the junction pair is the
     lexicographically least (left, right) marker pair whose glued point
     stays inside the component.
     """
@@ -370,42 +349,25 @@ def minimal_components(s: Substitution, scale: int = 8):
 
     fact = {a: _grown_factors(s, (a,), scale, p) for a, p in seeds}
 
-    kept = [
-        (a, p) for a, p in seeds
-        if not any(fact[a] > fact[b] for b, _ in seeds if b != a)]
-
-    groups: list[list[tuple[str, int]]] = []
-    for a, p in kept:
-        for g in groups:
-            if fact[g[0][0]] == fact[a]:
-                g.append((a, p))
-                break
-        else:
-            groups.append([(a, p)])
+    groups: dict[frozenset, list[tuple[str, int]]] = {}
+    for a, p in seeds:
+        if not any(fact[a] > fact[b] for b, _ in seeds):
+            groups.setdefault(fact[a], []).append((a, p))
 
     left_candidates = [(a, len(c)) for a in long if (c := _cycle(last, a))]
 
     out = []
-    for g in groups:
-        component_factors = fact[g[0][0]]
-        best = None
-        for r, pr in left_candidates:
-            for l, pl in g:
-                p = lcm(pr, pl)
-                if s.encode((r, l)) not in component_factors:
-                    continue
-                if not _grown_factors(s, (r,), scale, p) <= component_factors:
-                    continue
-                if not _junction_ok(s, p, r, l, component_factors, scale):
-                    continue
-                key = (s._index[r], s._index[l])
-                if best is None or key < best[0]:
-                    best = (key, (r, l), p)
-        out.append(MinimalComponent(
-            seeds=tuple(a for a, _ in g),
-            pair=None if best is None else best[1],
-            period=None if best is None else best[2],
-            scale=scale))
+    for component_factors, g in groups.items():
+        # both lists run in alphabet order, so the first fit is the least
+        best = None, None
+        for (r, pr), (l, pl) in itertools.product(left_candidates, g):
+            p = lcm(pr, pl)
+            if (s.encode((r, l)) in component_factors
+                    and _grown_factors(s, (r,), scale, p) <= component_factors
+                    and _junction_ok(s, p, r, l, component_factors, scale)):
+                best = (r, l), p
+                break
+        out.append(MinimalComponent(tuple(a for a, _ in g), *best, scale))
     return tuple(out)
 
 
@@ -469,8 +431,7 @@ def return_words(s: Substitution, scale: int) -> ReturnWordSystem:
     eff = s if power == 1 else s.power(power)
     markers = set(pairs)
 
-    vocabulary: list[tuple[str, ...]] = []
-    seen: set[tuple[str, ...]] = set()
+    vocabulary: dict[tuple[str, ...], None] = {}   # insertion-ordered set
     fronts = {l: (l,) for _, l in pairs}
     for _ in range(20):
         if all(len(w) >= 32 * scale for w in fronts.values()):
@@ -487,10 +448,7 @@ def return_words(s: Substitution, scale: int) -> ReturnWordSystem:
                 if c2 - c1 > scale:
                     raise ScaleTooSmall(
                         f"marker gap of {c2 - c1} exceeds scale {scale}")
-                seg = word[c1:c2]
-                if seg not in seen:
-                    seen.add(seg)
-                    vocabulary.append(seg)
+                vocabulary.setdefault(word[c1:c2])
         if not progressed:
             break
 
@@ -507,10 +465,7 @@ def return_words(s: Substitution, scale: int) -> ReturnWordSystem:
         and w[-1] in right_contexts and not any(m in w for m in enc_markers)
         and any(left_context[w[0]] + w + after in lang
                 for after in right_contexts[w[-1]]))
-    for w in sorted_words(s, found):
-        if w not in seen:
-            seen.add(w)
-            vocabulary.append(w)
+    vocabulary.update(dict.fromkeys(sorted_words(s, found)))
     return ReturnWordSystem(pairs, power, tuple(vocabulary))
 
 

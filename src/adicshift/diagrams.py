@@ -257,12 +257,15 @@ def vershik_successor(d, p: FinitePath):
     return next(_successors(d, p), Maximal)
 
 
-def _successors(d, p: FinitePath):
+def _successors(d, p: FinitePath, chain: list | None = None):
     """The paths after p into its terminal, in lexicographic order, up to
     the maximal one.  The vertex chain is carried from step to step, so a
     step reads and rewrites only the edges up to its carry: amortised O(1)
-    edges a step where vertices have two or more incoming edges."""
-    indices, chain = list(p.indices), list(p.vertices(d))
+    edges a step where vertices have two or more incoming edges.  A given
+    `chain` (p's, as a list) is rewritten in place to each path's chain."""
+    indices = list(p.indices)
+    if chain is None:
+        chain = list(p.vertices(d))
     while True:
         for k in range(1, p.level + 1):
             edges = d.in_edges(k, chain[k])
@@ -377,7 +380,8 @@ def _min_continuation(d: StationaryOrderedDiagram, v: str):
 def vershik_orbit_coding(d, start: FinitePath, steps: int, level: int,
                          max_to_min=None) -> tuple[str, ...]:
     """Iterate the successor from `start` and record the level-`level`
-    vertex label at each of `steps` states.
+    vertex label at each of `steps` states, read off the vertex chain that
+    one successor walk carries (restarted after a deepening or a wrap).
 
     When the current truncation is all-maximal, a stationary diagram is
     deepened along the all-minimal continuation (the infinite path is only
@@ -393,22 +397,23 @@ def vershik_orbit_coding(d, start: FinitePath, steps: int, level: int,
     if level < 1 or level > start.level:
         raise ValueError("coding level must be within the start path")
     stationary = isinstance(d, StationaryOrderedDiagram)
-    current = start
+    current, chain = start, list(start.vertices(d))
+    walk = _successors(d, current, chain)
     out = []
     for _ in range(steps):
-        out.append(current.vertices(d)[level])
-        nxt = vershik_successor(d, current)
+        out.append(chain[level])
+        nxt = next(walk, Maximal)
         while nxt is Maximal:
             if not stationary:
                 raise ImproperOrdering(
                     "maximal truncation at full depth; the diagram gives no "
                     "continuation to extend along")
             deepened = _deepen_maximal(d, current)
-            if deepened is not None:
-                current = deepened
-                nxt = vershik_successor(d, current)
-                continue
-            nxt = _wrap_maximal(d, current, max_to_min)
+            current = deepened or _wrap_maximal(d, current, max_to_min)
+            chain = list(current.vertices(d))
+            walk = _successors(d, current, chain)
+            # a wrap lands on the next state; a deepening only extends it
+            nxt = current if deepened is None else next(walk, Maximal)
         current = nxt
     return tuple(out)
 

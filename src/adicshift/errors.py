@@ -57,6 +57,10 @@ class TooManyPaths(ValueError):
     """A path enumeration would materialise more paths than its budget."""
 
 
+class SymbolTooLarge(ValueError):
+    """A box matrix would have more cells than its budget."""
+
+
 class ImproperOrdering(RuntimeError):
     """The diagram's ordering does not admit a well-defined successor here
     (several maximal paths and no caller-supplied wrap-around table)."""

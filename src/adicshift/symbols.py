@@ -23,7 +23,7 @@ from .diagrams import (
     minimal_path,
     read_substitution,
 )
-from .errors import AlphabetError, SpanMismatch, WindowTooShort
+from .errors import AlphabetError, SpanMismatch, SymbolTooLarge, WindowTooShort
 from .recognize import ParseChain
 from .words import Substitution, expand
 
@@ -65,6 +65,10 @@ def _cut_set(row) -> set[int]:
     return cuts
 
 
+# build_j_symbol refuses a box matrix with more cells (rows times width)
+MAX_SYMBOL_CELLS = 100_000
+
+
 def build_j_symbol(source, base: str, j: int) -> JSymbol:
     """The level-j box matrix over `base`.
 
@@ -72,19 +76,24 @@ def build_j_symbol(source, base: str, j: int) -> JSymbol:
     the letters of the (j-i)-fold expansion of `base`, so the width is the
     j-fold image length.  For a stationary diagram, boxes at row i >= 1 are
     labeled by vertices and sized by their tower heights; row 0 lists one
-    unit box per top edge.
+    unit box per top edge.  Raises SymbolTooLarge, before building it, when
+    the j + 1 rows of the width have more than MAX_SYMBOL_CELLS cells.
     """
     if j < 0:
         raise ValueError("symbol level must be >= 0")
     if isinstance(source, Substitution):
         if base not in source.alphabet:
             raise AlphabetError(f"unknown letter {base!r}")
-        rows = tuple(
-            tuple(("".join(expand(source, (b,), i)),
-                   len(expand(source, (b,), i)))
-                  for b in expand(source, (base,), j - i))
-            for i in range(j + 1))
-        return JSymbol(base, j, rows)
+        words = _level_words(source, base, j, j)
+        rows = [tuple((a, 1) for a in source.decode(words[-1]))]
+        for word in reversed(words[:-1]):
+            # the box of a letter spans the boxes of its image one row down
+            below = iter(rows[-1])
+            spans = (tuple(itertools.islice(below, len(source._table[ord(c)])))
+                     for c in word)
+            rows.append(tuple(("".join(label for label, _ in span),
+                               sum(w for _, w in span)) for span in spans))
+        return JSymbol(base, j, tuple(rows))
     d: StationaryOrderedDiagram = source
     if j == 0:
         if base != TOP:
@@ -94,14 +103,29 @@ def build_j_symbol(source, base: str, j: int) -> JSymbol:
     if base not in d.alphabet:
         raise AlphabetError(f"unknown vertex {base!r}")
     tau = read_substitution(d)
+    words = _level_words(tau, base, j - 1, j)
+    bottom = tau.decode(words[-1])
+    if (j + 1) * sum(map(d.top_count, bottom)) > MAX_SYMBOL_CELLS:
+        raise SymbolTooLarge(f"the level-{j} symbol over {base!r} has more "
+                             f"than {MAX_SYMBOL_CELLS} cells")
     heights = _tower_heights(d, j)
-    rows = [tuple((TOP, 1)
-                  for b in expand(tau, (base,), j - 1)
-                  for _ in range(d.top_count(b)))]
+    rows = [tuple((TOP, 1) for b in bottom for _ in range(d.top_count(b)))]
     for i in range(1, j + 1):
         rows.append(tuple((b, heights[i][b])
-                          for b in expand(tau, (base,), j - i)))
+                          for b in tau.decode(words[j - i])))
     return JSymbol(base, j, tuple(rows))
+
+
+def _level_words(s: Substitution, base: str, n: int, j: int) -> list[str]:
+    """sigma^k(base), encoded, for k = 0..n; SymbolTooLarge once j + 1
+    rows of one pass the budget (a level-j symbol is as wide or wider)."""
+    words = [s.encode((base,))]
+    while (j + 1) * len(words[-1]) <= MAX_SYMBOL_CELLS:
+        if len(words) > n:
+            return words
+        words.append(words[-1].translate(s._table))
+    raise SymbolTooLarge(f"the level-{j} symbol over {base!r} has more "
+                         f"than {MAX_SYMBOL_CELLS} cells")
 
 
 @lru_cache(maxsize=256)

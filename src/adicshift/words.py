@@ -322,16 +322,13 @@ class FactorLanguage:
 
     The factors are stored encoded (Substitution.encode) in `encoded`;
     `factors` decodes them on first use, membership encodes the query.
-
-    closure_status records how the bounded transfer iteration terminated:
-    "converged" when the window sets stabilize, "cycle-summed" when they enter
-    a genuine cycle and the union over one full cycle was taken.
+    Each cap-window but the last of an iterate starts inside sigma(u[0])
+    for a cap-window u of the iterate before (see factor_language).
     """
 
     substitution: Substitution
     cap: int
     encoded: frozenset[str]
-    closure_status: str
 
     @cached_property
     def factors(self) -> frozenset[tuple[str, ...]]:
@@ -356,43 +353,53 @@ def _windows(enc: str, cap: int) -> set[str]:
 
 @lru_cache(maxsize=256)
 def factor_language(s: Substitution, cap: int) -> FactorLanguage:
-    """L(sigma) cut at length cap via the bounded-window transfer map.
-
-    Iterates X_k = cap-windows of sigma^k(alphabet).  Sound because every
-    length-<=cap window of sigma(w) sits inside sigma(u) for some factor u of
-    w with |u| <= cap (images are nonempty).  The set sequence is eventually
-    cyclic; the language is the downward closure of the union over the
-    pre-period plus one full cycle, built in time linear in its size and
-    kept encoded (FactorLanguage.factors decodes it lazily).
+    """L(sigma) cut at length cap, kept encoded (FactorLanguage.factors
+    decodes it lazily): _window_closure from the images sigma(a).  A
+    cap-window u of an iterate needs only the windows of sigma(u) that
+    start inside sigma(u[0]); the later ones are windows of sigma(u'), u'
+    the next window, and the iterates' last windows expand in full.
     """
     if cap < 1:
         raise ValueError("cap must be >= 1")
+    return FactorLanguage(s, cap, _window_closure(s, s._images_enc, cap))
+
+
+def _window_closure(s: Substitution, starts, cap: int,
+                    steps: int = 1) -> frozenset[str]:
+    """Every nonempty factor of length <= cap of the iterates
+    sigma^(steps * n)(w), n >= 0, of the encoded start words w.
+
+    Windows go through sigma one step at a time, tagged with the step
+    count mod steps.  A window u pushes only the windows of sigma(u) that
+    start inside sigma(u[0]): the later ones lie in sigma(u'), u' the next
+    window of the same iterate.  The last cap letters of each iterate have
+    no next window; they form a chain of their own and expand in full.
+    """
     table = s._table
-    current = frozenset(
-        w for img in s._images_enc for w in _windows(img, cap))
-    seen: dict[frozenset, int] = {current: 1}
-    trail = [current]
-    while True:
-        nxt = frozenset(
-            w for u in current for w in _windows(u.translate(table), cap))
-        if nxt in seen:
-            start = seen[nxt]
-            period = len(trail) + 1 - start
-            break
-        seen[nxt] = len(trail) + 1
-        trail.append(nxt)
-        current = nxt
-
-    if period == 1:
-        status = "converged"
-    else:
-        # the window sets cycle; if their downward closures all agree the
-        # language still converged, otherwise we sum over the cycle
-        closures = [_downward(x, cap) for x in trail[start - 1:]]
-        status = "converged" if all(c == closures[0] for c in closures) else "cycle-summed"
-
-    return FactorLanguage(s, cap, frozenset(_downward(set().union(*trail), cap)),
-                          status)
+    first = {chr(c): len(img) for c, img in table.items()}
+    seen = [set() for _ in range(steps)]
+    seen[0].update(w for u in starts for w in _windows(u, cap))
+    work = [(w, 0) for w in seen[0]]
+    ends = set()
+    for end in starts:
+        end, phase = end[-cap:], 0
+        while (end, phase) not in ends:
+            ends.add((end, phase))
+            end, phase = end.translate(table), (phase + 1) % steps
+            fresh = _windows(end, cap) - seen[phase]
+            seen[phase] |= fresh
+            work.extend((w, phase) for w in fresh)
+            end = end[-cap:]
+    while work:
+        u, phase = work.pop()
+        image, phase = u.translate(table), (phase + 1) % steps
+        known = seen[phase]
+        for i in range(min(first[u[0]], len(image) - cap + 1)):
+            w = image[i:i + cap]
+            if w not in known:
+                known.add(w)
+                work.append((w, phase))
+    return frozenset(_downward(seen[0], cap))
 
 
 def _downward(words, cap: int) -> set[str]:

@@ -12,9 +12,10 @@ from math import isqrt
 import numpy as np
 
 from adicshift import (TOP, CompatibleWitness, CoreCheck, FinitePath,
-                       JSequenceWindow, LambdaSeed, NoneWithinBudget, expand,
-                       factor_language, norms, one_word_tilings,
-                       shift_down_path)
+                       ImproperOrdering, JSequenceWindow, LambdaSeed,
+                       NoneWithinBudget, StationaryOrderedDiagram,
+                       Substitution, expand, factor_language, norms,
+                       one_word_tilings, shift_down_path)
 
 
 def naive_factors(s, cap, depth):
@@ -44,6 +45,46 @@ def naive_seed_factors(s, seed, cap, steps, depth):
     """Factors (length <= cap) of sigma^(steps * n)(seed) for 0 <= n <= depth."""
     return cubic_downward(
         (expand(s, seed, steps * n) for n in range(depth + 1)), cap)
+
+
+def _cap_windows(enc, cap):
+    return {enc} if len(enc) <= cap else {enc[i:i + cap]
+                                          for i in range(len(enc) - cap + 1)}
+
+
+def cycling_factor_language(s, cap):
+    """The encoded factors of length <= cap of L(sigma), by iterating the
+    window sets X_1 = cap-windows of the images, X_(k+1) = cap-windows of
+    sigma(u) over u in X_k, until a set repeats, and slicing their union."""
+    current = frozenset(w for img in s._images_enc
+                        for w in _cap_windows(img, cap))
+    trail, union = {current}, set(current)
+    while True:
+        current = frozenset(w for u in current
+                            for w in _cap_windows(u.translate(s._table), cap))
+        if current in trail:
+            return cubic_downward(union, cap)
+        trail.add(current)
+        union |= current
+
+
+def phase_walk_factors(s, seed, cap, steps):
+    """The encoded factors of length <= cap of sigma^(steps * n)(seed),
+    n >= 0, by expanding every (window, step count mod steps) pair in full:
+    each cap-window of its image goes on with the next count."""
+    total = _cap_windows(s.encode(seed), cap)
+    seen = {(w, 0) for w in total}
+    work = list(seen)
+    while work:
+        u, phase = work.pop()
+        phase = (phase + 1) % steps
+        for w in _cap_windows(u.translate(s._table), cap):
+            if (w, phase) not in seen:
+                seen.add((w, phase))
+                work.append((w, phase))
+                if phase == 0:
+                    total.add(w)
+    return cubic_downward(total, cap)
 
 
 def naive_incidence_power(s, n):
@@ -264,6 +305,47 @@ def rebuilt_successor(d, p):
             return FinitePath(p.level, p.terminal,
                               (0,) * (k - 1) + (j + 1,) + p.indices[k:])
     return None
+
+
+def stepwise_orbit_coding(d, start, steps, level, max_to_min=None):
+    """vershik_orbit_coding one state at a time: the label read from the
+    path's own vertex chain and the next path from rebuilt_successor, with
+    the library's deepening and wrap at maximal truncations."""
+    from adicshift.diagrams import _deepen_maximal, _wrap_maximal
+
+    current, out = start, []
+    for _ in range(steps):
+        out.append(current.vertices(d)[level])
+        nxt = rebuilt_successor(d, current)
+        while nxt is None:
+            if not isinstance(d, StationaryOrderedDiagram):
+                raise ImproperOrdering("maximal truncation at full depth")
+            deepened = _deepen_maximal(d, current)
+            if deepened is not None:
+                current = deepened
+                nxt = rebuilt_successor(d, current)
+                continue
+            nxt = _wrap_maximal(d, current, max_to_min)
+        current = nxt
+    return tuple(out)
+
+
+def expanded_symbol_rows(source, base, j):
+    """The rows of the level-j box matrix, each box from its own expansion:
+    labels sigma^i(b) joined for a substitution, vertex heights from
+    tower_heights for a stationary diagram."""
+    if isinstance(source, StationaryOrderedDiagram):
+        tau = Substitution(source.alphabet, source.read_images)
+        heights = tower_heights(source, j)
+        rows = [tuple((TOP, 1) for b in expand(tau, (base,), j - 1)
+                      for _ in range(source.top_count(b)))]
+        rows += [tuple((b, heights[i][b]) for b in expand(tau, (base,), j - i))
+                 for i in range(1, j + 1)]
+        return tuple(rows)
+    return tuple(
+        tuple(("".join(expand(source, (b,), i)), len(expand(source, (b,), i)))
+              for b in expand(source, (base,), j - i))
+        for i in range(j + 1))
 
 
 def descent_path_window(d, p, j, radius):

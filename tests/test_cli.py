@@ -72,6 +72,15 @@ def test_unbounded_shorts_fail_classify(capsys, tmp_path):
     assert "error:" in out
 
 
+def test_oversized_jsymbol_exits_three(capsys, chacon_file):
+    # sigma^40(0) has about 1.8e19 letters: refused before it is expanded
+    code, out = invoke(capsys, "jsymbol", "--sub", chacon_file,
+                       "--depth", "40")
+    assert code == 3
+    assert "command: jsymbol" in out
+    assert "error: the level-40 symbol over '0'" in out
+
+
 @pytest.mark.parametrize("argv, code", [
     (("vershik", "--steps", "-1"), 2),
     (("minimal", "--cap", "0"), 2),

@@ -41,7 +41,7 @@ from adicshift import (
 from adicshift import build_j_symbol, factor_language, stationary_from_substitution
 from adicshift.constructions import _grown_factors
 from adicshift.symbols import _tower_heights
-from oracles import naive_seed_factors, primitive_blocks
+from oracles import naive_seed_factors, phase_walk_factors, primitive_blocks
 from strategies import (CHACON, DOUBLING, FIBONACCI, IDENTITY, THUE_MORSE as TM,
                         TWO_BLOCK, substitutions)
 
@@ -262,6 +262,16 @@ def test_grown_factors_match_expanded_seed_iterates(s, steps):
         grown = _grown_factors(s, (a,), 5, steps)
         assert ({s.decode(w) for w in grown}
                 == naive_seed_factors(s, (a,), 5, steps, 8 // steps))
+
+
+@settings(max_examples=150, deadline=None)
+@given(substitutions(max_letters=4, max_image=4), st.data(),
+       st.integers(1, 20), st.integers(1, 3))
+def test_grown_factors_match_phase_walk(s, data, cap, steps):
+    seed = tuple(data.draw(st.lists(st.sampled_from(s.alphabet),
+                                    min_size=1, max_size=3)))
+    assert (_grown_factors(s, seed, cap, steps)
+            == phase_walk_factors(s, seed, cap, steps))
 
 
 @settings(max_examples=60, deadline=None)

@@ -29,8 +29,10 @@ from adicshift import (
     vershik_successor,
 )
 from adicshift.diagrams import MAX_ENUMERATED_PATHS, _successors
-from oracles import all_paths_sorted, extremal_periods, path_count_by_matrices
-from strategies import CHACON, ordered_diagrams, substitutions
+from oracles import (all_paths_sorted, extremal_periods,
+                     path_count_by_matrices, stepwise_orbit_coding)
+from strategies import (CHACON, ordered_diagrams, stationary_diagrams,
+                        substitutions)
 
 ODOMETER = StationaryOrderedDiagram(("v",), (("v", "v"),), (2,))
 CHAIN = StationaryOrderedDiagram(("v",), (("v",),), (1,))   # one edge a level
@@ -347,6 +349,44 @@ def test_wrap_requires_assignment_when_minimals_are_many():
         d, start, 4, 1,
         max_to_min={("a",): ("b",), ("b",): ("a",)})
     assert swapped == ("a", "b", "a", "b")
+
+
+SWAP = StationaryOrderedDiagram(("a", "b"), (("a",), ("b",)), (1, 1))
+SWAP_WRAP = {("a",): ("b",), ("b",): ("a",)}
+# deepens twice, then wraps to its one minimal path, in the first 40 steps
+DEEPEN_AND_WRAP = StationaryOrderedDiagram(
+    ("a", "b"), (("b", "b", "a"), ("b",)), (2, 2))
+
+
+@pytest.mark.parametrize("d, start, steps, level, max_to_min", [
+    (DERIV, minimal_path(DERIV, 2, "1"), 300, 1, None),
+    (DERIV, minimal_path(DERIV, 5, "3"), 300, 4, None),
+    (SWAP, minimal_path(SWAP, 1, "a"), 9, 1, SWAP_WRAP),
+    (SWAP, minimal_path(SWAP, 3, "b"), 9, 2, SWAP_WRAP),
+    (DEEPEN_AND_WRAP, minimal_path(DEEPEN_AND_WRAP, 2, "a"), 40, 1, None),
+    (DEEPEN_AND_WRAP, minimal_path(DEEPEN_AND_WRAP, 3, "a"), 40, 3, None),
+    (ODOMETER.unroll(3), minimal_path(ODOMETER, 3, "v"), 7, 2, None),
+])
+def test_orbit_coding_matches_stepwise_reference_on_deepen_and_wrap(
+        d, start, steps, level, max_to_min):
+    assert (vershik_orbit_coding(d, start, steps, level, max_to_min)
+            == stepwise_orbit_coding(d, start, steps, level, max_to_min))
+
+
+@settings(max_examples=150, deadline=None)
+@given(stationary_diagrams(), st.integers(1, 4), st.integers(0, 2),
+       st.integers(1, 4), st.integers(1, 60))
+def test_orbit_coding_matches_stepwise_reference(d, depth, pick, level,
+                                                 steps):
+    start = minimal_path(d, depth, d.alphabet[pick % len(d.alphabet)])
+    level = min(level, depth)
+    try:
+        expected = stepwise_orbit_coding(d, start, steps, level)
+    except ImproperOrdering:
+        with pytest.raises(ImproperOrdering):
+            vershik_orbit_coding(d, start, steps, level)
+        return
+    assert vershik_orbit_coding(d, start, steps, level) == expected
 
 
 def test_fixed_depth_diagram_cannot_extend():

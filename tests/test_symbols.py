@@ -16,6 +16,7 @@ from adicshift import (
     ParseChain,
     SpanMismatch,
     StationaryOrderedDiagram,
+    SymbolTooLarge,
     WindowTooShort,
     box_matrix_text,
     build_j_symbol,
@@ -27,6 +28,7 @@ from adicshift import (
     minimal_path,
     one_word_tilings,
     path_window,
+    read_substitution,
     recognize_window,
     shift_down_path,
     stationary_from_substitution,
@@ -34,7 +36,9 @@ from adicshift import (
     vershik_successor,
     window_from_parse,
 )
-from oracles import descent_path_window, pairwise_witness_search
+from adicshift.symbols import MAX_SYMBOL_CELLS
+from oracles import (descent_path_window, expanded_symbol_rows,
+                     pairwise_witness_search)
 from strategies import (CHACON, DOUBLING, THUE_MORSE, stationary_diagrams,
                         substitutions)
 
@@ -88,6 +92,38 @@ def test_width_law():
             for j in range(6):
                 assert build_j_symbol(s, a, j).width == len(
                     expand(s, (a,), j))
+
+
+@settings(max_examples=60, deadline=None)
+@given(stationary_diagrams(), st.integers(0, 2), st.integers(0, 5))
+def test_symbol_rows_match_expanded_boxes(d, pick, j):
+    s = read_substitution(d)
+    base = s.alphabet[pick % len(s.alphabet)]
+    assert build_j_symbol(s, base, j).rows == expanded_symbol_rows(s, base, j)
+    if j:
+        assert (build_j_symbol(d, base, j).rows
+                == expanded_symbol_rows(d, base, j))
+
+
+def test_symbol_budget_refuses_before_building():
+    # (j + 1) * width cells: Chacon's 0 has width 9,841 at 8 and 29,524 at 9
+    assert MAX_SYMBOL_CELLS == 100_000
+    assert build_j_symbol(CHACON, "0", 8).width == 9_841
+    with pytest.raises(SymbolTooLarge):
+        build_j_symbol(CHACON, "0", 9)
+    with pytest.raises(SymbolTooLarge):
+        build_j_symbol(CHACON, "0", 10 ** 9)
+    # a one-letter-wide tower may go deep, up to the budget's rows
+    assert build_j_symbol(CHACON, "s", 999).width == 1
+    with pytest.raises(SymbolTooLarge):
+        build_j_symbol(CHACON, "s", MAX_SYMBOL_CELLS)
+    # diagrams count their top edges: 2^j paths into the odometer vertex
+    assert build_j_symbol(ODOMETER, "v", 12).width == 4_096
+    with pytest.raises(SymbolTooLarge):
+        build_j_symbol(ODOMETER, "v", 13)
+    wide = StationaryOrderedDiagram(("v",), (("v",),), (10 ** 6,))
+    with pytest.raises(SymbolTooLarge):
+        build_j_symbol(wide, "v", 1)
 
 
 def test_symbol_validation():

@@ -29,7 +29,8 @@ from adicshift import (
     sorted_words,
 )
 from adicshift.words import _downward
-from oracles import cubic_downward, naive_factors, naive_incidence_power
+from oracles import (cubic_downward, cycling_factor_language, naive_factors,
+                     naive_incidence_power)
 from strategies import CHACON, DOUBLING, FIBONACCI, IDENTITY, THUE_MORSE, substitutions
 
 # ---------------------------------------------------------------------------
@@ -230,7 +231,6 @@ def test_factor_language_chacon_cap2():
     assert ("s", "s") not in lang.factors
     assert ("1", "s") not in lang.factors
     assert ("s", "1") not in lang.factors
-    assert lang.closure_status == "converged"
 
 
 def test_factor_language_identity():
@@ -294,6 +294,26 @@ def test_letter_outside_alphabet_is_not_a_factor():
 def test_factor_language_chacon_cap200_count():
     # the count of the linear-complexity language up to length 200
     assert len(factor_language(CHACON, 200).encoded) == 79_590
+
+
+@pytest.mark.parametrize("cap, count", [(100, 19_690), (400, 324_275)])
+def test_factor_language_chacon_counts(cap, count):
+    # built past the cache, so the cap-400 language is not kept
+    assert len(factor_language.__wrapped__(CHACON, cap).encoded) == count
+
+
+@settings(max_examples=150, deadline=None)
+@given(substitutions(max_letters=4, max_image=4), st.integers(1, 20))
+def test_factor_language_matches_generation_cycle(s, cap):
+    assert factor_language(s, cap).encoded == cycling_factor_language(s, cap)
+
+
+def test_right_ends_expand_in_full():
+    # bb lies only in the last windows of the generations a b^n: no
+    # window's first image reaches it
+    s = parse_substitution("a -> ab\nb -> b")
+    assert ("b", "b") in factor_language(s, 4)
+    assert ("b", "b", "b") in factor_language(s, 4)
 
 
 def test_sorted_words_order():
