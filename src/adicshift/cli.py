@@ -8,6 +8,9 @@ operation fails for scale or structural reasons (a short window, a missing
 nesting structure, an unbounded short block, a box matrix over its size
 budget) -- those failures still print
 the report head plus an ``error:`` line, so the verdict is diffable too.
+
+Each subcommand imports the library layers it runs inside its own body, so
+one call loads (and, without a bytecode cache, compiles) only those.
 """
 
 from __future__ import annotations
@@ -15,25 +18,18 @@ from __future__ import annotations
 import argparse
 import hashlib
 import sys
+from typing import TYPE_CHECKING
 
-from .constructions import (derivative_substitution, diagram_via_derivative,
-                            minimal_components, nesting_diagram,
-                            nesting_matching_rule, nesting_vocabulary,
-                            return_words)
-from .diagrams import (StationaryOrderedDiagram, export_dot, minimal_path,
-                       read_substitution, vershik_orbit_coding)
 from .errors import (AlphabetError, CountExceedsImage, DecompositionFailure,
                      DiagramError, GrammarError, ImproperOrdering,
                      InsufficientGrowth, NoNesting, ScaleTooSmall,
                      ShortLettersPresent, SpanMismatch, SymbolTooLarge,
                      UnboundedShorts, WindowTooShort)
-from .phase import core_membership, lambda_seeds, lambda_window
-from .recognize import AmbiguityReport, recognize_window
-from .symbols import box_matrix_text, build_j_symbol
-from .words import (NoneUpToBounds, Substitution, Unbounded, classify_letters,
-                    expand, factor_language, incidence_matrix, nesting_class,
-                    norms, parse_substitution, periodicity_witness_search,
-                    short_block_bound, sorted_words)
+from .words import parse_substitution
+
+if TYPE_CHECKING:
+    from .diagrams import StationaryOrderedDiagram
+    from .words import Substitution
 
 _INPUT_ERRORS = (GrammarError, AlphabetError, OSError, ValueError)
 _DOMAIN_ERRORS = (ScaleTooSmall, WindowTooShort, InsufficientGrowth,
@@ -66,6 +62,8 @@ def _head(args, text: str) -> list[str]:
 
 
 def _diagram(s: Substitution, method: str) -> StationaryOrderedDiagram:
+    from .constructions import diagram_via_derivative, nesting_diagram
+
     if method == "nesting":
         return nesting_diagram(s)
     return diagram_via_derivative(s)
@@ -76,6 +74,9 @@ def _diagram(s: Substitution, method: str) -> StationaryOrderedDiagram:
 
 
 def _cmd_analyze(s, args):
+    from .words import (Unbounded, classify_letters, nesting_class, norms,
+                        short_block_bound)
+
     lines = [f"letters: {' '.join(s.alphabet)}"]
     for a in s.alphabet:
         lines.append(f"image {a}: {_render(s.image(a))}")
@@ -85,9 +86,9 @@ def _cmd_analyze(s, args):
     lines.append(f"nesting: {nesting_class(s).value}")
     lo, hi = norms(s, 1)
     lines.append(f"norms: min={lo} max={hi}")
-    m = incidence_matrix(s)
-    for i, a in enumerate(s.alphabet):
-        lines.append(f"incidence {a}: {' '.join(str(int(x)) for x in m[i])}")
+    for a in s.alphabet:
+        row = " ".join(str(s.image(a).count(b)) for b in s.alphabet)
+        lines.append(f"incidence {a}: {row}")
     bound = short_block_bound(s, cap=args.cap)
     if isinstance(bound, Unbounded):
         lines.append(f"short-block-bound: unbounded (cap {bound.cap})")
@@ -97,6 +98,8 @@ def _cmd_analyze(s, args):
 
 
 def _cmd_language(s, args):
+    from .words import factor_language, sorted_words
+
     lang = factor_language(s, args.cap)
     words = sorted_words(s, lang.factors)
     lines = [f"factors: {len(words)}"]
@@ -105,6 +108,9 @@ def _cmd_language(s, args):
 
 
 def _cmd_classify(s, args):
+    from .words import (Unbounded, classify_letters, nesting_class,
+                        short_block_bound)
+
     kinds = classify_letters(s)
     lines = [f"long: {' '.join(kinds.long) or '-'}",
              f"short: {' '.join(kinds.short) or '-'}",
@@ -118,6 +124,8 @@ def _cmd_classify(s, args):
 
 
 def _cmd_periodic_check(s, args):
+    from .words import NoneUpToBounds, periodicity_witness_search
+
     found = periodicity_witness_search(s, args.cap, args.steps)
     if isinstance(found, NoneUpToBounds):
         return [f"witness: none (len<={found.max_len} pow<={found.max_pow})"]
@@ -126,6 +134,8 @@ def _cmd_periodic_check(s, args):
 
 
 def _cmd_nesting(s, args):
+    from .constructions import nesting_matching_rule, nesting_vocabulary
+
     vocab = nesting_vocabulary(s)
     lines = [f"vocabulary: {len(vocab)}"]
     for mw in vocab:
@@ -138,6 +148,8 @@ def _cmd_nesting(s, args):
 
 
 def _cmd_minimal(s, args):
+    from .constructions import minimal_components
+
     comps = minimal_components(s, scale=args.cap)
     lines = [f"components: {len(comps)} (scale {args.cap})"]
     for comp in comps:
@@ -149,6 +161,8 @@ def _cmd_minimal(s, args):
 
 
 def _cmd_return_words(s, args):
+    from .constructions import return_words
+
     rs = return_words(s, scale=args.cap)
     lines = [f"pairs: {' '.join(f'{l},{r}' for l, r in rs.pairs)}",
              f"power: {rs.power}",
@@ -159,6 +173,8 @@ def _cmd_return_words(s, args):
 
 
 def _cmd_derive(s, args):
+    from .constructions import derivative_substitution, return_words
+
     rs = return_words(s, scale=args.cap)
     tau = derivative_substitution(rs, s)
     lines = [f"power: {rs.power}"]
@@ -170,6 +186,8 @@ def _cmd_derive(s, args):
 
 
 def _cmd_build_diagram(s, args):
+    from .diagrams import export_dot
+
     d = _diagram(s, args.method)
     if args.format == "dot":
         return [export_dot(d.unroll(args.depth))]
@@ -182,6 +200,8 @@ def _cmd_build_diagram(s, args):
 
 
 def _cmd_read(s, args):
+    from .diagrams import read_substitution
+
     d = _diagram(s, args.method)
     tau = read_substitution(d)
     lines = []
@@ -191,6 +211,8 @@ def _cmd_read(s, args):
 
 
 def _cmd_vershik(s, args):
+    from .diagrams import minimal_path, vershik_orbit_coding
+
     d = _diagram(s, args.method)
     start = minimal_path(d, args.depth, d.alphabet[0])
     lines = [f"start: level={start.level} terminal={start.terminal} "
@@ -202,6 +224,9 @@ def _cmd_vershik(s, args):
 
 
 def _cmd_recognize(s, args):
+    from .recognize import AmbiguityReport, recognize_window
+    from .words import expand
+
     length = 2 * args.radius + 1
     k, word = 0, (s.alphabet[0],)
     while len(word) < length:
@@ -225,6 +250,8 @@ def _cmd_recognize(s, args):
 
 
 def _cmd_jsymbol(s, args):
+    from .symbols import box_matrix_text, build_j_symbol
+
     lines = []
     for a in s.alphabet:
         symbol = build_j_symbol(s, a, args.depth)
@@ -235,6 +262,8 @@ def _cmd_jsymbol(s, args):
 
 
 def _cmd_lambda(s, args):
+    from .phase import core_membership, lambda_seeds, lambda_window
+
     seeds = lambda_seeds(s)
     lines = [f"seeds: {len(seeds)}"]
     for seed in seeds:
@@ -252,6 +281,8 @@ def _cmd_lambda(s, args):
 
 
 def _cmd_export(s, args):
+    from .diagrams import export_dot
+
     d = _diagram(s, args.method)
     return [export_dot(d.unroll(args.depth))]
 

@@ -86,13 +86,8 @@ def build_j_symbol(source, base: str, j: int) -> JSymbol:
             raise AlphabetError(f"unknown letter {base!r}")
         words = _level_words(source, base, j, j)
         rows = [tuple((a, 1) for a in source.decode(words[-1]))]
-        for word in reversed(words[:-1]):
-            # the box of a letter spans the boxes of its image one row down
-            below = iter(rows[-1])
-            spans = (tuple(itertools.islice(below, len(source._table[ord(c)])))
-                     for c in word)
-            rows.append(tuple(("".join(label for label, _ in span),
-                               sum(w for _, w in span)) for span in spans))
+        _stack_rows(source, words[:-1], rows,
+                    lambda c, span: "".join(label for label, _ in span))
         return JSymbol(base, j, tuple(rows))
     d: StationaryOrderedDiagram = source
     if j == 0:
@@ -108,12 +103,22 @@ def build_j_symbol(source, base: str, j: int) -> JSymbol:
     if (j + 1) * sum(map(d.top_count, bottom)) > MAX_SYMBOL_CELLS:
         raise SymbolTooLarge(f"the level-{j} symbol over {base!r} has more "
                              f"than {MAX_SYMBOL_CELLS} cells")
-    heights = _tower_heights(d, j)
-    rows = [tuple((TOP, 1) for b in bottom for _ in range(d.top_count(b)))]
-    for i in range(1, j + 1):
-        rows.append(tuple((b, heights[i][b])
-                          for b in tau.decode(words[j - i])))
+    rows = [tuple((TOP, 1) for b in bottom for _ in range(d.top_count(b))),
+            tuple((b, d.top_count(b)) for b in bottom)]
+    _stack_rows(tau, words[:-1], rows, lambda c, span: tau._dec[c])
     return JSymbol(base, j, tuple(rows))
+
+
+def _stack_rows(s: Substitution, words: list[str], rows: list, label):
+    """Append one box row per encoded word, the last word first: the box of
+    a letter spans the boxes of its image in the row below, so its width is
+    their summed widths and nothing wider than the symbol is computed."""
+    for word in reversed(words):
+        below, row = iter(rows[-1]), []
+        for c in word:
+            span = tuple(itertools.islice(below, len(s._table[ord(c)])))
+            row.append((label(c, span), sum(w for _, w in span)))
+        rows.append(tuple(row))
 
 
 def _level_words(s: Substitution, base: str, n: int, j: int) -> list[str]:

@@ -97,6 +97,20 @@ def naive_incidence_power(s, n):
     return m
 
 
+def is_primitive(s):
+    """Every letter occurs in the sigma^n-image of every letter, at
+    Wielandt's bound n = (k - 1)^2 + 1 for k letters; the letter sets of
+    the images are stepped one substitution at a time."""
+    n = (len(s.alphabet) - 1) ** 2 + 1
+    for a in s.alphabet:
+        letters = {a}
+        for _ in range(n):
+            letters = {b for c in letters for b in s.image(c)}
+        if len(letters) < len(s.alphabet):
+            return False
+    return True
+
+
 def brute_tilings(s, window, interior_only=False):
     """Every tiling of the window by images sigma(a), found by trying every
     interior cut placement.  Returns (parent, offset) pairs sorted by

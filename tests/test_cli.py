@@ -6,9 +6,13 @@ reruns are compared byte for byte.  Exit codes: 0 for a finished report,
 reasons but the report head still prints.
 """
 
+import os
+import subprocess
+import sys
+
 import pytest
 
-from adicshift.cli import run
+from adicshift.cli import _COMMANDS, run
 
 CHACON_SRC = "0 -> 00s0\ns -> s\n1 -> 0110\n"
 TM_SRC = "a -> ab\nb -> ba\n"
@@ -232,3 +236,54 @@ def test_dot_matches_export_dot_of_unrolled_diagram(capsys, chacon_file):
     expected = export_dot(
         diagram_via_derivative(parse_substitution(CHACON_SRC)).unroll(3))
     assert out == expected + "\n"
+
+
+# ---------------------------------------------------------------------------
+# import cost: each subcommand loads only the layers it runs
+
+
+# the adicshift.* modules loaded after one call, by subcommand
+LOADED = {
+    ("analyze", "language", "classify", "periodic-check"):
+        "cli errors words",
+    ("recognize",): "cli errors recognize words",
+    ("lambda",): "cli errors phase recognize words",
+    ("jsymbol",): "cli diagrams errors recognize symbols words",
+    ("nesting", "minimal", "return-words", "derive", "build-diagram", "read",
+     "vershik", "export"): "cli constructions diagrams errors words",
+}
+LOADED_BY_COMMAND = {command: set(modules.split())
+                     for commands, modules in LOADED.items()
+                     for command in commands}
+
+# runs one command in a fresh interpreter; prints the exit code, the
+# loaded adicshift.* modules and whether numpy was imported
+LOADED_PROBE = """
+import contextlib, io, sys
+from adicshift.cli import run
+with contextlib.redirect_stdout(io.StringIO()):
+    code = run(sys.argv[1:])
+modules = sorted(m[len("adicshift."):] for m in sys.modules
+                 if m.startswith("adicshift."))
+print(code, " ".join(modules), "numpy" in sys.modules, sep="|")
+"""
+
+
+def test_loaded_table_covers_every_subcommand():
+    assert sorted(LOADED_BY_COMMAND) == sorted(_COMMANDS)
+
+
+@pytest.mark.parametrize("command", sorted(_COMMANDS))
+def test_subcommand_loads_only_its_layers(tmp_path, command):
+    path = tmp_path / "input.sub"
+    # lambda needs every letter long; Chacon's s is short
+    path.write_text(TM_SRC if command == "lambda" else CHACON_SRC)
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    done = subprocess.run(
+        [sys.executable, "-c", LOADED_PROBE, command, "--sub", str(path)],
+        env=env, capture_output=True, text=True, check=True, timeout=60)
+    code, modules, numpy = done.stdout.strip().split("|")
+    assert code == "0"
+    assert set(modules.split()) == LOADED_BY_COMMAND[command]
+    assert numpy == "False"

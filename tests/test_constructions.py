@@ -38,7 +38,7 @@ from adicshift import (
     vershik_orbit_coding,
     minimal_path,
 )
-from adicshift import build_j_symbol, factor_language, stationary_from_substitution
+from adicshift import factor_language, stationary_from_substitution, tower_rank
 from adicshift.constructions import _grown_factors
 from adicshift.symbols import _tower_heights
 from oracles import naive_seed_factors, phase_walk_factors, primitive_blocks
@@ -467,7 +467,8 @@ def test_caches_stay_bounded_over_many_substitutions():
         factor_language(s, 6)
         _grown_factors(s, (a,), 4)
         diagram_via_derivative(s)
-        build_j_symbol(stationary_from_substitution(s, (1, 2)), a, 2)
+        d = stationary_from_substitution(s, (1, 2))
+        tower_rank(d, minimal_path(d, 2, a))
         for cache in caches:
             info = cache.cache_info()
             assert info.maxsize is not None

@@ -36,7 +36,7 @@ from adicshift import (
     vershik_successor,
     window_from_parse,
 )
-from adicshift.symbols import MAX_SYMBOL_CELLS
+from adicshift.symbols import MAX_SYMBOL_CELLS, _tower_heights
 from oracles import (descent_path_window, expanded_symbol_rows,
                      pairwise_witness_search)
 from strategies import (CHACON, DOUBLING, THUE_MORSE, stationary_diagrams,
@@ -103,6 +103,18 @@ def test_symbol_rows_match_expanded_boxes(d, pick, j):
     if j:
         assert (build_j_symbol(d, base, j).rows
                 == expanded_symbol_rows(d, base, j))
+
+
+def test_deep_narrow_symbol_sums_its_own_boxes():
+    # Chacon's s tower is one box wide at every level, while the 0 and 1
+    # towers beside it grow like 3^k: the symbol must not pay for them
+    d = stationary_from_substitution(CHACON, (1, 1, 1))
+    misses = _tower_heights.cache_info().misses
+    sym = build_j_symbol(d, "s", 20_000)
+    assert sym.rows[0] == ((TOP, 1),)
+    assert all(row == (("s", 1),) for row in sym.rows[1:])
+    assert len(sym.rows) == 20_001
+    assert _tower_heights.cache_info().misses == misses
 
 
 def test_symbol_budget_refuses_before_building():

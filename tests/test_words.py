@@ -29,8 +29,8 @@ from adicshift import (
     sorted_words,
 )
 from adicshift.words import _downward
-from oracles import (cubic_downward, cycling_factor_language, naive_factors,
-                     naive_incidence_power)
+from oracles import (cubic_downward, cycling_factor_language, is_primitive,
+                     naive_factors, naive_incidence_power)
 from strategies import CHACON, DOUBLING, FIBONACCI, IDENTITY, THUE_MORSE, substitutions
 
 # ---------------------------------------------------------------------------
@@ -314,6 +314,27 @@ def test_right_ends_expand_in_full():
     s = parse_substitution("a -> ab\nb -> b")
     assert ("b", "b") in factor_language(s, 4)
     assert ("b", "b", "b") in factor_language(s, 4)
+
+
+@settings(max_examples=150, deadline=None)
+@given(substitutions(max_letters=4, max_image=4), st.integers(1, 10),
+       st.sampled_from((2, 3)))
+def test_power_language_within_language(s, cap, k):
+    # L(sigma^k) is read off the iterates sigma^(kn) only, so it lies in
+    # L(sigma); for primitive sigma every factor of sigma^n(a) recurs in
+    # sigma^(kn')(b), and the two languages are equal
+    power = factor_language(s.power(k), cap).encoded
+    own = factor_language(s, cap).encoded
+    assert power <= own
+    if is_primitive(s):
+        assert power == own
+
+
+def test_primitivity_oracle():
+    assert is_primitive(CHACON) is False        # s -> s reaches nothing else
+    assert is_primitive(FIBONACCI) and is_primitive(THUE_MORSE)
+    assert is_primitive(IDENTITY)
+    assert not is_primitive(parse_substitution("a -> b\nb -> a"))
 
 
 def test_sorted_words_order():
