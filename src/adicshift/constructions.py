@@ -17,6 +17,7 @@ the supporting cast: they certify when each route applies.
 from __future__ import annotations
 
 import itertools
+import re
 from dataclasses import dataclass
 from functools import lru_cache
 from math import lcm
@@ -295,11 +296,19 @@ class MinimalComponent:
 @lru_cache(maxsize=256)
 def _grown_factors(s: Substitution, seed: tuple[str, ...], cap: int,
                    steps: int = 1):
-    """All factors (length <= cap) of every steps-fold iterate of `seed`,
-    the seed word itself included, encoded: one _window_closure, which
+    """The factors (length <= cap) of every steps-fold iterate of `seed`,
+    the seed word itself included, encoded, kept as their maximal members
+    (which determine them; _within compares) from one _window_closure: it
     steps through sigma one application at a time and collects every
     steps-th generation, so sigma^steps is never materialised."""
-    return _window_closure(s, (s.encode(seed),), cap, steps)
+    windows = _window_closure(s, (s.encode(seed),), cap, steps)
+    return frozenset(w for w in windows if len(w) == cap
+                     or not any(w in x for x in windows if len(x) > len(w)))
+
+
+def _within(words, windows) -> bool:
+    """Is each encoded word a factor of one of the windows?"""
+    return all(w in windows or any(w in x for x in windows) for w in words)
 
 
 def _junction_ok(s: Substitution, power: int, r: str, l: str, factors,
@@ -319,10 +328,9 @@ def _junction_ok(s: Substitution, power: int, r: str, l: str, factors,
         for _ in range(power):
             tail = tail.translate(s._table)[-cap:]
             head = head.translate(s._table)[:cap]
-    # factors is closed under taking factors, so the longest windows
-    # across the junction are enough
+    # the longest windows across the junction are enough
     left, right = tail[max(0, len(tail) - cap + 1):], head[:cap - 1]
-    return not (left and right) or _windows(left + right, cap) <= factors
+    return not (left and right) or _within(_windows(left + right, cap), factors)
 
 
 def minimal_components(s: Substitution, scale: int = 8):
@@ -351,20 +359,21 @@ def minimal_components(s: Substitution, scale: int = 8):
 
     groups: dict[frozenset, list[tuple[str, int]]] = {}
     for a, p in seeds:
-        if not any(fact[a] > fact[b] for b, _ in seeds):
+        if not any(fact[a] != fact[b] and _within(fact[b], fact[a])
+                   for b, _ in seeds):
             groups.setdefault(fact[a], []).append((a, p))
 
     left_candidates = [(a, len(c)) for a in long if (c := _cycle(last, a))]
 
     out = []
-    for component_factors, g in groups.items():
+    for factors, g in groups.items():
         # both lists run in alphabet order, so the first fit is the least
         best = None, None
         for (r, pr), (l, pl) in itertools.product(left_candidates, g):
             p = lcm(pr, pl)
-            if (s.encode((r, l)) in component_factors
-                    and _grown_factors(s, (r,), scale, p) <= component_factors
-                    and _junction_ok(s, p, r, l, component_factors, scale)):
+            if (_within((s.encode((r, l)),), factors)
+                    and _within(_grown_factors(s, (r,), scale, p), factors)
+                    and _junction_ok(s, p, r, l, factors, scale)):
                 best = (r, l), p
                 break
         out.append(MinimalComponent(tuple(a for a, _ in g), *best, scale))
@@ -397,29 +406,47 @@ class ReturnWordSystem:
         return self.vocabulary[int(index) - 1]
 
     def phi_word(self, indices) -> tuple[str, ...]:
-        out: list[str] = []
-        for i in indices:
-            out.extend(self.phi(i))
-        return tuple(out)
+        return tuple(a for i in indices for a in self.phi(i))
 
     def word_text(self, index: str) -> str:
         return "".join(self.phi(index))
 
 
-def _marker_cuts(word, markers) -> list[int]:
-    cuts = [0]
-    cuts.extend(
-        c for c in range(1, len(word))
-        if (word[c - 1], word[c]) in markers)
-    return cuts
+# Return words grow on fronts sigma^(pn)(l), one sigma^p at a time; a front
+# that would pass this many letters is taken not to close (its return words
+# keep changing), and ScaleTooSmall is raised before it is built.
+_FRONT_BUDGET = 1 << 22
+
+
+def _front_tools(s: Substitution, pairs, power: int):
+    """sigma^power on encoded words, refusing a result longer than
+    _FRONT_BUDGET letters, and the split of an encoded word between the two
+    letters of every junction marker (re.split at zero-width matches)."""
+    enc, table = s._enc, s.power(power)._table
+
+    def grow(word: str) -> str:
+        if sum(word.count(chr(c)) * len(img)
+               for c, img in table.items()) > _FRONT_BUDGET:
+            raise ScaleTooSmall(f"a front would pass {_FRONT_BUDGET} "
+                                "letters before its return words closed")
+        return word.translate(table)
+    return grow, re.compile("|".join(
+        f"(?<={enc[r]})(?={enc[l]})" for r, l in pairs)).split
 
 
 def return_words(s: Substitution, scale: int) -> ReturnWordSystem:
-    """Enumerate the return words of the junction markers, in first-occurrence
-    order along the marker letters' expansions; words of the language that
-    qualify but never show up there (they live in transient strands) are
-    appended in length-lexicographic order."""
-    comps = minimal_components(s, scale=scale)
+    """The return words of the junction markers of the census at `scale`.
+    The fronts sigma^(pn)(l) grow one round at a time until sigma^p of each
+    word found splits into words found; a block longer than `scale`, or a
+    front past _FRONT_BUDGET letters, raises ScaleTooSmall.  Order: first
+    occurrence along the fronts, then the words of the language up to
+    `scale` never seen there (transient strands), length-lexicographic."""
+    return _return_words(s, minimal_components(s, scale=scale), scale)
+
+
+def _return_words(s: Substitution, comps, scale: int | None):
+    """return_words on a given census; with scale None, blocks are not
+    bounded and transient words are scanned up to max(8, longest word)."""
     if not comps:
         raise DecompositionFailure("no one-letter fixed seeds: nothing recurs")
     for c in comps:
@@ -428,67 +455,45 @@ def return_words(s: Substitution, scale: int) -> ReturnWordSystem:
                 f"component seeded by {c.seeds[0]!r} has no junction pair")
     pairs = tuple(c.pair for c in comps)
     power = lcm(*(c.period for c in comps))
-    eff = s if power == 1 else s.power(power)
-    markers = set(pairs)
+    enc, (grow, split) = s._enc, _front_tools(s, pairs, power)
 
-    vocabulary: dict[tuple[str, ...], None] = {}   # insertion-ordered set
-    fronts = {l: (l,) for _, l in pairs}
-    for _ in range(20):
-        if all(len(w) >= 32 * scale for w in fronts.values()):
-            break
-        progressed = False
-        for _, l in pairs:
-            grown = eff.apply(fronts[l])
-            progressed = progressed or len(grown) > len(fronts[l])
-            fronts[l] = grown
-        for _, l in pairs:
-            word = fronts[l]
-            cuts = _marker_cuts(word, markers)
-            for c1, c2 in zip(cuts, cuts[1:]):
-                if c2 - c1 > scale:
-                    raise ScaleTooSmall(
-                        f"marker gap of {c2 - c1} exceeds scale {scale}")
-                vocabulary.setdefault(word[c1:c2])
-        if not progressed:
-            break
+    vocabulary: dict[str, None] = {}   # insertion-ordered set, encoded
+    fronts, closed = [enc[l] for _, l in pairs], False
+    while not closed:
+        fronts = list(map(grow, fronts))
+        blocks = [split(front)[:-1] for front in fronts]
+        for block in itertools.chain(*blocks):
+            if scale is not None and len(block) > scale:
+                raise ScaleTooSmall(
+                    f"marker gap of {len(block)} exceeds scale {scale}")
+            vocabulary.setdefault(block)
+        # once each front holds a block, the words closed under sigma^p
+        # are all the return words of the fronts' limits
+        closed = all(blocks) and all(seg in vocabulary for w in vocabulary
+                                     for seg in split(grow(w)))
+    if scale is None:
+        scale = max(8, *map(len, vocabulary))
 
-    lang = factor_language(s, scale + 2).encoded
-    enc = s._enc
-    left_context = {enc[l]: enc[r] for r, l in pairs}
-    right_contexts: dict[str, list[str]] = {}
-    for r, l in pairs:
-        right_contexts.setdefault(enc[r], []).append(enc[l])
-    enc_markers = [enc[r] + enc[l] for r, l in pairs]
-    found = (
-        s.decode(w) for w in lang
-        if len(w) <= scale and w[0] in left_context
-        and w[-1] in right_contexts and not any(m in w for m in enc_markers)
-        and any(left_context[w[0]] + w + after in lang
-                for after in right_contexts[w[-1]]))
-    vocabulary.update(dict.fromkeys(sorted_words(s, found)))
-    return ReturnWordSystem(pairs, power, tuple(vocabulary))
-
-
-def _decompose(rs: ReturnWordSystem, word) -> tuple[str, ...]:
-    lookup = {w: idx for idx, w in zip(rs.indices, rs.vocabulary)}
-    cuts = _marker_cuts(word, set(rs.pairs)) + [len(word)]
-    out = []
-    for c1, c2 in zip(cuts, cuts[1:]):
-        seg = word[c1:c2]
-        if seg not in lookup:
-            raise DecompositionFailure(
-                f"segment {''.join(seg)!r} is not a known return word; "
-                "the vocabulary scale was too small")
-        out.append(lookup[seg])
-    return tuple(out)
+    # a return word and its two marker letters lie in a (scale + 2)-window
+    found = {w for x in _window_closure(s, s._images_enc, scale + 2)
+             for w in split(x)[1:-1]}
+    vocabulary.update(dict.fromkeys(sorted(found, key=lambda w: (len(w), w))))
+    return ReturnWordSystem(pairs, power, tuple(map(s.decode, vocabulary)))
 
 
 def derivative_substitution(rs: ReturnWordSystem, s: Substitution) -> Substitution:
     """The induced rule on return-word indices: expand each return word one
     step and split along the marker cuts (the split is forced, hence unique)."""
-    eff = s if rs.power == 1 else s.power(rs.power)
-    images = tuple(_decompose(rs, eff.apply(w)) for w in rs.vocabulary)
-    return Substitution(rs.indices, images)
+    lookup = {s.encode(w): idx for idx, w in zip(rs.indices, rs.vocabulary)}
+    grow, split = _front_tools(s, rs.pairs, rs.power)
+    images = [split(grow(w)) for w in lookup]
+    for seg in itertools.chain(*images):
+        if seg not in lookup:
+            raise DecompositionFailure(
+                f"segment {''.join(s.decode(seg))!r} is not a known return "
+                "word; the vocabulary scale was too small")
+    return Substitution(rs.indices, tuple(tuple(map(lookup.get, segments))
+                                          for segments in images))
 
 
 # ---------------------------------------------------------------------------
@@ -612,18 +617,12 @@ def is_m_primitive(s: Substitution, scale: int = 8):
 def diagram_via_derivative(s: Substitution) -> StationaryOrderedDiagram:
     """Return-word route to a stationary ordered diagram: derivative rule as
     the read substitution, return-word lengths as the top multiplicities.
-    The scale is grown automatically until every marker gap fits."""
-    scales = (8, 16, 32, 64, 128)
-    for scale in scales:
-        try:
-            rs = return_words(s, scale)
-            break
-        except ScaleTooSmall:
-            # re-raised from here so that no local keeps the exception: a
-            # kept one ties its traceback's frames into a reference cycle
-            if scale == scales[-1]:
-                raise
-    tau =derivative_substitution(rs, s)
+    One census at the default scale; the return words grow to closure with
+    no bound on their length, and transient words are scanned up to
+    max(8, longest return word).  Fronts that never close raise
+    ScaleTooSmall."""
+    rs = _return_words(s, minimal_components(s), None)
+    tau = derivative_substitution(rs, s)
     verdict = is_proper(tau, 8)
     if isinstance(verdict, NotProperUpTo):
         raise DiagramError(

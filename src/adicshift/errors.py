@@ -24,7 +24,7 @@ class SpanMismatch(ValueError):
 
 
 class ScaleTooSmall(ValueError):
-    """A bounded scan hit a block longer than the requested scale; retry larger."""
+    """A block longer than the scale, or a front past its letter budget."""
 
 
 class DecompositionFailure(ValueError):

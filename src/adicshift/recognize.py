@@ -66,12 +66,15 @@ def _tile_boundaries(s: Substitution, parent, offset):
 
 @lru_cache(maxsize=64)
 def _walk_tables(s: Substitution):
-    """Encoded images by encoded letter, and (letter, image) pairs by the
-    first letter of the image."""
+    """Encoded images by encoded letter, (letter, image) pairs by the first
+    letter of the image, and the encoded factor_language(s, 8), or None
+    when every image has length 1."""
     images = dict(zip(s.encode(s.alphabet), s._images_enc))
     starting = {c: [(a, img) for a, img in images.items() if img[0] == c]
                 for c in images}
-    return images, starting
+    short = (factor_language(s, _SHORT).encoded
+             if max(map(len, images.values())) > 1 else None)
+    return images, starting, short
 
 
 @lru_cache(maxsize=1 << 12)
@@ -84,10 +87,12 @@ def _tiling_walk(s: Substitution, word: str, interior_only: bool,
     never meet the recursion limit.  A budgeted walk returns None when it
     pops more than _POPS_PER_LETTER * |word| partial covers or finds more
     than |word| parents: runs of equal one-letter images multiply the
-    tilings.
+    tilings.  A partial cover is pushed only when its parent's last 8
+    letters lie in the language (unless every image has length 1), as
+    every parent the callers keep does.
     """
     n = len(word)
-    images, starting = _walk_tables(s)
+    images, starting, short = _walk_tables(s)
     found: set[tuple[str, int]] = set()
     budget = _POPS_PER_LETTER * n if budgeted else inf
 
@@ -115,10 +120,10 @@ def _tiling_walk(s: Substitution, word: str, interior_only: bool,
         for a, img in starting[word[pos]]:
             end = pos + len(img)
             if word.startswith(img, pos):
-                if end < n:
-                    stack.append((end, parent + a, offset))
-                else:
+                if end >= n:
                     found.add((parent + a, offset))
+                elif short is None or (parent + a)[-_SHORT:] in short:
+                    stack.append((end, parent + a, offset))
             elif not interior_only and end > n and img.startswith(word[pos:]):
                 found.add((parent + a, offset))
     if budgeted and len(found) > n:
@@ -201,8 +206,8 @@ def one_word_tilings(s: Substitution, window, interior_only: bool = False):
     found = _tiling_walk(s, word, interior_only, True)
     if found is None:
         found = _tiling_walk(s, word, interior_only, False)
-    images = _walk_tables(s)[0]
-    if max(map(len, images.values())) > 1:
+    images, _, short = _walk_tables(s)
+    if short is not None:
         found = {(p, off) for (p, off) in found if _parent_in_language(s, p)}
 
     tilings = []

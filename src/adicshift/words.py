@@ -361,12 +361,13 @@ def factor_language(s: Substitution, cap: int) -> FactorLanguage:
     """
     if cap < 1:
         raise ValueError("cap must be >= 1")
-    return FactorLanguage(s, cap, _window_closure(s, s._images_enc, cap))
+    windows = _window_closure(s, s._images_enc, cap)
+    return FactorLanguage(s, cap, frozenset(_downward(windows, cap)))
 
 
 def _window_closure(s: Substitution, starts, cap: int,
-                    steps: int = 1) -> frozenset[str]:
-    """Every nonempty factor of length <= cap of the iterates
+                    steps: int = 1) -> set[str]:
+    """The cap-windows (shorter ones whole) of the iterates
     sigma^(steps * n)(w), n >= 0, of the encoded start words w.
 
     Windows go through sigma one step at a time, tagged with the step
@@ -399,7 +400,7 @@ def _window_closure(s: Substitution, starts, cap: int,
             if w not in known:
                 known.add(w)
                 work.append((w, phase))
-    return frozenset(_downward(seen[0], cap))
+    return seen[0]
 
 
 def _downward(words, cap: int) -> set[str]:

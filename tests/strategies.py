@@ -30,6 +30,24 @@ def substitutions(draw, max_letters=5, max_image=5):
 
 
 @st.composite
+def chacon_like(draw):
+    """Chacon-like substitution in the shape of perfbench's panel: s -> s
+    plus two or three long letters whose images have 3 to 5 letters,
+    start and end with a long letter and never hold two s in a row."""
+    longs = "abc"[:draw(st.integers(2, 3))]
+    images = []
+    for _ in longs:
+        size = draw(st.integers(3, 5))
+        word = [draw(st.sampled_from(longs))]
+        while len(word) < size - 1:
+            word.append(draw(st.sampled_from(
+                longs if word[-1] == "s" else longs + "s")))
+        word.append(draw(st.sampled_from(longs)))
+        images.append(tuple(word))
+    return Substitution(tuple(longs) + ("s",), tuple(images) + (("s",),))
+
+
+@st.composite
 def stationary_diagrams(draw, max_letters=3, max_image=3, max_top=3):
     """Random stationary ordered diagram: the read rule a random
     substitution, each top count between 1 and max_top."""

@@ -85,6 +85,15 @@ def test_oversized_jsymbol_exits_three(capsys, chacon_file):
     assert "error: the level-40 symbol over '0'" in out
 
 
+def test_fronts_that_never_close_exit_three(capsys, tmp_path):
+    path = tmp_path / "open.sub"
+    path.write_text("a -> a\nb -> cba\nc -> bc\n")  # a-runs keep growing
+    code, out = invoke(capsys, "build-diagram", "--sub", str(path))
+    assert code == 3
+    assert "command: build-diagram" in out
+    assert "error: a front would pass" in out
+
+
 @pytest.mark.parametrize("argv, code", [
     (("vershik", "--steps", "-1"), 2),
     (("minimal", "--cap", "0"), 2),

@@ -2,6 +2,7 @@
 words, the derivative rule, and the structural predicates behind them."""
 
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from adicshift import (
     CountExceedsImage,
     DecompositionFailure,
+    DiagramError,
     MarkedWord,
     MinimalComponent,
     MPrimitiveDecomposition,
@@ -32,6 +34,7 @@ from adicshift import (
     nesting_diagram,
     nesting_matching_rule,
     nesting_vocabulary,
+    parse_substitution,
     read_substitution,
     return_words,
     validate,
@@ -39,11 +42,13 @@ from adicshift import (
     minimal_path,
 )
 from adicshift import factor_language, stationary_from_substitution, tower_rank
+import adicshift.constructions as constructions
 from adicshift.constructions import _grown_factors
 from adicshift.symbols import _tower_heights
+from adicshift.words import _downward
 from oracles import naive_seed_factors, phase_walk_factors, primitive_blocks
 from strategies import (CHACON, DOUBLING, FIBONACCI, IDENTITY, THUE_MORSE as TM,
-                        TWO_BLOCK, substitutions)
+                        TWO_BLOCK, chacon_like, substitutions)
 
 # the Chacon vocabulary in its published order, with base tower heights
 CHACON_MARKED = {
@@ -259,7 +264,7 @@ GROWN_PANEL = [CHACON, TM, TWO_BLOCK, FIBONACCI, DOUBLING, IDENTITY,
 @pytest.mark.parametrize("steps", [1, 2])
 def test_grown_factors_match_expanded_seed_iterates(s, steps):
     for a in s.alphabet:
-        grown = _grown_factors(s, (a,), 5, steps)
+        grown = _downward(_grown_factors(s, (a,), 5, steps), 5)
         assert ({s.decode(w) for w in grown}
                 == naive_seed_factors(s, (a,), 5, steps, 8 // steps))
 
@@ -270,8 +275,10 @@ def test_grown_factors_match_expanded_seed_iterates(s, steps):
 def test_grown_factors_match_phase_walk(s, data, cap, steps):
     seed = tuple(data.draw(st.lists(st.sampled_from(s.alphabet),
                                     min_size=1, max_size=3)))
-    assert (_grown_factors(s, seed, cap, steps)
-            == phase_walk_factors(s, seed, cap, steps))
+    maximal = _grown_factors(s, seed, cap, steps)
+    assert _downward(maximal, cap) == phase_walk_factors(s, seed, cap, steps)
+    # kept as the maximal factors only
+    assert not any(w != x and w in x for w in maximal for x in maximal)
 
 
 @settings(max_examples=60, deadline=None)
@@ -452,6 +459,64 @@ def test_derivative_coding_spells_the_fixed_point():
         translated += text[:len(chunk)]
         p += len(chunk)
     assert "".join(expand(CHACON, ("0",), 8)).startswith(translated)
+
+
+# marker gap 159, beyond any scale the route used to try
+GAP_159 = parse_substitution("a -> ccca\nb -> absbb\nc -> basb\ns -> s")
+
+
+def test_long_marker_gap_builds_a_proper_diagram():
+    d = diagram_via_derivative(GAP_159)
+    assert max(d.top_counts) == 159
+    assert isinstance(is_proper(read_substitution(d), 8), ProperWitness)
+    assert validate(d.unroll(2)) == []
+
+
+def test_fronts_that_never_close_raise_scale_too_small():
+    # sigma^n(b) holds ever longer runs of a, so new return words keep
+    # appearing; the front budget ends the growth
+    s = parse_substitution("a -> a\nb -> cba\nc -> bc")
+    start = time.perf_counter()
+    with pytest.raises(ScaleTooSmall, match="front would pass"):
+        diagram_via_derivative(s)
+    assert time.perf_counter() - start < 1
+
+
+def test_derivative_route_takes_the_census_once(monkeypatch):
+    scales = []
+    census = constructions.minimal_components
+
+    def counted(s, scale=8):
+        scales.append(scale)
+        return census(s, scale)
+
+    monkeypatch.setattr(constructions, "minimal_components", counted)
+    diagram_via_derivative.__wrapped__(GAP_159)
+    assert scales == [8]
+
+
+@settings(max_examples=40, deadline=None)
+@given(chacon_like())
+def test_derivative_route_matches_return_words(s):
+    try:
+        d = diagram_via_derivative(s)
+    except (DecompositionFailure, ScaleTooSmall, DiagramError):
+        return
+    rs = return_words(s, max(8, *d.top_counts))
+    assert d.alphabet == rs.indices
+    built = constructions._return_words(s, minimal_components(s), None)
+    assert built.vocabulary == rs.vocabulary
+    eff = s.power(rs.power)
+    markers = set(rs.pairs)
+    for i, image, top in zip(d.alphabet, d.read_images, d.top_counts):
+        word, grown = rs.phi(i), eff.apply(rs.phi(i))
+        assert top == len(word)
+        assert rs.phi_word(image) == grown
+        # sigma^p(word) cut before each marker's second letter
+        cuts = [0] + [c for c in range(1, len(grown))
+                      if (grown[c - 1], grown[c]) in markers] + [len(grown)]
+        assert all(grown[c1:c2] in rs.vocabulary
+                   for c1, c2 in zip(cuts, cuts[1:]))
 
 
 def test_caches_stay_bounded_over_many_substitutions():

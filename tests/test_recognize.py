@@ -116,6 +116,18 @@ def test_tilings_reconstruct_window(s, data):
         assert 0 <= t.offset < len(s.image(t.parent[0]))
 
 
+def test_equal_images_do_not_multiply_partial_covers():
+    # sigma(b) = sigma(c): every run of those tiles doubles the partial
+    # covers unless each is checked against the language as it grows;
+    # unpruned, 121 letters took seconds and hundreds of MB, 141 more
+    s = parse_substitution("a -> caab\nb -> ba\nc -> ba")
+    window = expand(s, ("a",), 6)[:141]
+    tilings = one_word_tilings(s, window)
+    assert [(t.parent, t.offset) for t in tilings] == [
+        (expand(s, ("a",), 5)[:48], 0)]
+    assert tilings[0].reconstruct(s) == window
+
+
 @pytest.mark.parametrize("interior_only", [False, True])
 def test_long_windows_tile_without_recursion(interior_only):
     # thousands of tiles deep, at the default recursion limit, with the
