@@ -98,12 +98,14 @@ def _cmd_analyze(s, args):
 
 
 def _cmd_language(s, args):
-    from .words import factor_language, sorted_words
+    from .words import factor_language
 
-    lang = factor_language(s, args.cap)
-    words = sorted_words(s, lang.factors)
+    # codes follow the alphabet order, so (length, code) is sorted_words'
+    # order; rule-file letters are single characters, so words join bare
+    words = sorted(factor_language(s, args.cap).encoded,
+                   key=lambda w: (len(w), w))
     lines = [f"factors: {len(words)}"]
-    lines.extend(f"word: {_render(w)}" for w in words)
+    lines.extend(f"word: {''.join(s.decode(w))}" for w in words)
     return lines
 
 
@@ -347,13 +349,19 @@ _LEAST = {"cap": 1, "depth": 1, "radius": 0, "steps": 0}
 _LEAST_BY_COMMAND = {("jsymbol", "depth"): 0, ("lambda", "depth"): 0}
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(argv) -> argparse.ArgumentParser:
+    """Every subcommand is listed, for the top-level help and choices, but
+    only the first one named in argv, the one argparse dispatches to, gets
+    its flags."""
     parser = argparse.ArgumentParser(
         prog="adicshift",
         description="substitution systems, their diagrams, and their codings")
     subs = parser.add_subparsers(dest="command", required=True)
-    for name, (handler, blurb) in _COMMANDS.items():
+    chosen = next((arg for arg in argv if arg in _COMMANDS), None)
+    for name, (_, blurb) in _COMMANDS.items():
         sub = subs.add_parser(name, help=blurb)
+        if name != chosen:
+            continue
         sub.add_argument("--sub", required=True,
                          help="substitution file (letter -> word lines)")
         sub.add_argument("--seed", type=int, default=None,
@@ -363,12 +371,13 @@ def _build_parser() -> argparse.ArgumentParser:
             if default is not None:
                 kwargs["default"] = default
             sub.add_argument(f"--{flag}", **kwargs)
-        sub.set_defaults(handler=handler)
     return parser
 
 
 def run(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _build_parser(argv).parse_args(argv)
     try:
         for flag, least in _LEAST.items():
             least = _LEAST_BY_COMMAND.get((args.command, flag), least)
@@ -383,7 +392,7 @@ def run(argv=None) -> int:
                or getattr(args, "format", "report") == "dot")
     lines = [] if raw_dot else _head(args, text)
     try:
-        lines.extend(args.handler(s, args))
+        lines.extend(_COMMANDS[args.command][0](s, args))
     except _DOMAIN_ERRORS as exc:
         if raw_dot:
             print(f"error: {exc}", file=sys.stderr)

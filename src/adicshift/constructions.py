@@ -18,10 +18,10 @@ from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass
 from functools import lru_cache
 from math import lcm
 
+from ._record import record
 from .diagrams import StationaryOrderedDiagram
 from .errors import (
     CountExceedsImage,
@@ -51,7 +51,7 @@ from .words import (
 # marked words
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class MarkedWord:
     """A language word of shape (long)(shorts)(long)(shorts)(long), with a
     cut after the first long-with-shorts block (starts-long reading) or right
@@ -202,7 +202,7 @@ def nesting_diagram(s: Substitution) -> StationaryOrderedDiagram:
 # multi-edge encoding
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class EncodedSystem:
     """Letters (a, i), one per top edge into a, with the rule that expands
     block i of a's read image; the i-blocks concatenate back to the full
@@ -280,7 +280,7 @@ def multi_edge_encoding(d: StationaryOrderedDiagram) -> EncodedSystem:
 # minimal components
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class MinimalComponent:
     """Seeds whose one-sided fixed points share a factor set (at the given
     scale), plus the canonical junction pair: a letter whose expansions end
@@ -384,7 +384,7 @@ def minimal_components(s: Substitution, scale: int = 8):
 # return words and the derivative substitution
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ReturnWordSystem:
     """The census of blocks between consecutive junction markers.
 
@@ -500,12 +500,12 @@ def derivative_substitution(rs: ReturnWordSystem, s: Substitution) -> Substituti
 # properness and m-primitivity
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ProperWitness:
     power: int
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class NotProperUpTo:
     searched: int
 
@@ -537,7 +537,7 @@ def is_proper(s: Substitution, p_max: int):
     return NotProperUpTo(p_max)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class MPrimitiveDecomposition:
     blocks: tuple[tuple[str, ...], ...]
     transient: tuple[str, ...]
@@ -548,7 +548,7 @@ class MPrimitiveDecomposition:
         return len(self.blocks)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class NotMPrimitive:
     reason: str
 

@@ -8,9 +8,9 @@ Words whose marker is the origin.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import lcm
 
+from ._record import record
 from .errors import AlphabetError, InsufficientGrowth, ShortLettersPresent
 from .recognize import _tile_boundaries, one_word_tilings
 from .words import (
@@ -27,7 +27,7 @@ from .words import (
 # junction seeds
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class LambdaSeed:
     """An adjacent letter pair whose facing ends reproduce: after `period`
     applications the left image ends in the left letter and the right image
@@ -93,7 +93,7 @@ def lambda_window(s: Substitution, seed: LambdaSeed, radius: int,
 # nested occurrence chains
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ChainPrefix:
     """A nested occurrence chain ((a0, 0), (a1, i1), ..., (an, in)): the
     letter a_{k-1} occurs at position i_k of the image of a_k, so each
@@ -160,7 +160,7 @@ def m0_window(s: Substitution, chain: ChainPrefix, radius: int) -> Word:
 # membership in iterated images
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class CoreCheck:
     """Outcome of the origin-alignment scan: `consistent` means every level
     up to `depth` admits a parse whose cuts hit the marker -- a necessary

@@ -9,11 +9,11 @@ ones an ambiguity report.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate
 from math import inf
 
+from ._record import record
 from .errors import WindowTooShort
 from .words import (
     Substitution,
@@ -28,7 +28,7 @@ from .words import (
 # tilings
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Tiling:
     """One way to cover a window with images sigma(a).
 
@@ -226,7 +226,7 @@ def one_word_tilings(s: Substitution, window, interior_only: bool = False):
 # recognizability
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ChainLevel:
     """One desubstitution level: `parent` is the agreed word of level tiles
     meeting the clipped interior; `bounds` gives each tile boundary in base
@@ -241,7 +241,7 @@ class ChainLevel:
         return self.bounds[0]
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ParseChain:
     base: tuple[str, ...]
     levels: tuple[ChainLevel, ...]
@@ -251,7 +251,7 @@ class ParseChain:
         return (self.base,) + tuple(l.parent for l in self.levels)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class AmbiguityReport:
     """The surviving parse chains disagree on the interior (or none exist):
     evidence of periodicity or an insufficient radius."""
@@ -408,7 +408,7 @@ def chain_cut_positions(chain: ParseChain, level: int):
 # tower bookkeeping
 
 
-@dataclass
+@record
 class TowerTable:
     """Heights |sigma^n(a)| of the level-n tower over each letter whose
     cylinder is nonempty (the letter occurs in the language)."""

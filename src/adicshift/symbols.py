@@ -11,10 +11,10 @@ from __future__ import annotations
 
 import itertools
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from functools import lru_cache
 from math import isqrt
 
+from ._record import record
 from .diagrams import (
     TOP,
     FinitePath,
@@ -31,7 +31,7 @@ from .words import Substitution, expand
 # symbols
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class JSymbol:
     """Finite box matrix of one tower: rows[i] lists (label, width) boxes,
     row `level` is the single base box, row 0 has unit boxes only."""
@@ -150,7 +150,7 @@ def _tower_heights(d: StationaryOrderedDiagram, up_to: int):
 # windows
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class JSequenceWindow:
     """A finite clip of stacked box rows on a common coordinate span.
 
@@ -321,7 +321,7 @@ class _TowerSlice:
 # depth and cuts
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class DepthReport:
     """depth: highest row on which the two windows fully agree (-1 when
     even row 0 differs); common_cuts[i]: positions where both windows have
@@ -352,7 +352,7 @@ def depth_and_cuts(w1: JSequenceWindow, w2: JSequenceWindow) -> DepthReport:
 # eventual periodicity
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class EventualPeriod:
     start: int
     period: int
@@ -375,7 +375,7 @@ def eventually_periodic_check(row, n0: int, m_max: int):
 # expansiveness witness search
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class CompatibleWitness:
     """Two distinct finite paths whose windows agree on all rows <= depth."""
     left: FinitePath
@@ -387,7 +387,7 @@ class CompatibleWitness:
     examined: int
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class NoneWithinBudget:
     budget: int
     examined: int

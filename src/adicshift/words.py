@@ -10,17 +10,17 @@ run on plain Python strings.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property, lru_cache
 
+from ._record import record
 from .errors import AlphabetError, GrammarError
 
 # ---------------------------------------------------------------------------
 # substitutions
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Substitution:
     """A map letter -> nonempty word, with a fixed alphabet order.
 
@@ -158,7 +158,7 @@ def parse_substitution(text: str) -> Substitution:
 # words
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Word:
     """A finite word with an optional marker (a cut position in [0, len]),
     splitting negative from non-negative coordinates."""
@@ -293,7 +293,7 @@ def _cycle(step, a):
 # long/short classification
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class LetterClassification:
     long: tuple[str, ...]
     short: tuple[str, ...]
@@ -316,7 +316,7 @@ def classify_letters(s: Substitution) -> LetterClassification:
 # factor language
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class FactorLanguage:
     """All factors of the iterates sigma^n(a), n >= 1, up to length cap.
 
@@ -450,7 +450,7 @@ def nesting_class(s: Substitution) -> NestingClass:
     return NestingClass.NONE
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Unbounded:
     """All-short factors kept growing past the search cap -- evidence against
     aperiodicity, and a bound M does not exist at this scale."""
@@ -477,7 +477,7 @@ def short_block_bound(s: Substitution, cap: int = 16):
     return longest + 1
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class NoneUpToBounds:
     """No periodic witness within the bounds; a semi-decision, not a proof."""
     max_len: int

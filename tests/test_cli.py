@@ -254,19 +254,19 @@ def test_dot_matches_export_dot_of_unrolled_diagram(capsys, chacon_file):
 # the adicshift.* modules loaded after one call, by subcommand
 LOADED = {
     ("analyze", "language", "classify", "periodic-check"):
-        "cli errors words",
-    ("recognize",): "cli errors recognize words",
-    ("lambda",): "cli errors phase recognize words",
-    ("jsymbol",): "cli diagrams errors recognize symbols words",
+        "_record cli errors words",
+    ("recognize",): "_record cli errors recognize words",
+    ("lambda",): "_record cli errors phase recognize words",
+    ("jsymbol",): "_record cli diagrams errors recognize symbols words",
     ("nesting", "minimal", "return-words", "derive", "build-diagram", "read",
-     "vershik", "export"): "cli constructions diagrams errors words",
+     "vershik", "export"): "_record cli constructions diagrams errors words",
 }
 LOADED_BY_COMMAND = {command: set(modules.split())
                      for commands, modules in LOADED.items()
                      for command in commands}
 
 # runs one command in a fresh interpreter; prints the exit code, the
-# loaded adicshift.* modules and whether numpy was imported
+# loaded adicshift.* modules and whether numpy and dataclasses were imported
 LOADED_PROBE = """
 import contextlib, io, sys
 from adicshift.cli import run
@@ -274,8 +274,19 @@ with contextlib.redirect_stdout(io.StringIO()):
     code = run(sys.argv[1:])
 modules = sorted(m[len("adicshift."):] for m in sys.modules
                  if m.startswith("adicshift."))
-print(code, " ".join(modules), "numpy" in sys.modules, sep="|")
+print(code, " ".join(modules), "numpy" in sys.modules,
+      "dataclasses" in sys.modules, sep="|")
 """
+
+
+@pytest.fixture(scope="module")
+def bare_dataclasses():
+    """Whether a bare interpreter (site and its .pth files) already loads
+    dataclasses, in which case no import of the package can avoid it."""
+    probe = "import sys; print('dataclasses' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                          text=True, check=True, timeout=60)
+    return done.stdout.strip() == "True"
 
 
 def test_loaded_table_covers_every_subcommand():
@@ -283,7 +294,8 @@ def test_loaded_table_covers_every_subcommand():
 
 
 @pytest.mark.parametrize("command", sorted(_COMMANDS))
-def test_subcommand_loads_only_its_layers(tmp_path, command):
+def test_subcommand_loads_only_its_layers(tmp_path, command,
+                                          bare_dataclasses):
     path = tmp_path / "input.sub"
     # lambda needs every letter long; Chacon's s is short
     path.write_text(TM_SRC if command == "lambda" else CHACON_SRC)
@@ -292,7 +304,8 @@ def test_subcommand_loads_only_its_layers(tmp_path, command):
     done = subprocess.run(
         [sys.executable, "-c", LOADED_PROBE, command, "--sub", str(path)],
         env=env, capture_output=True, text=True, check=True, timeout=60)
-    code, modules, numpy = done.stdout.strip().split("|")
+    code, modules, numpy, dataclasses = done.stdout.strip().split("|")
     assert code == "0"
     assert set(modules.split()) == LOADED_BY_COMMAND[command]
     assert numpy == "False"
+    assert dataclasses == "False" or bare_dataclasses
