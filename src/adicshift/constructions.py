@@ -490,8 +490,8 @@ def derivative_substitution(rs: ReturnWordSystem, s: Substitution) -> Substituti
     for seg in itertools.chain(*images):
         if seg not in lookup:
             raise DecompositionFailure(
-                f"segment {''.join(s.decode(seg))!r} is not a known return "
-                "word; the vocabulary scale was too small")
+                f"segment {''.join(s.decode(seg))!r} is not in the return-word "
+                "system's vocabulary")
     return Substitution(rs.indices, tuple(tuple(map(lookup.get, segments))
                                           for segments in images))
 

@@ -19,8 +19,6 @@ from .diagrams import (
     TOP,
     FinitePath,
     StationaryOrderedDiagram,
-    _successors,
-    minimal_path,
     read_substitution,
 )
 from .errors import AlphabetError, SpanMismatch, SymbolTooLarge, WindowTooShort
@@ -271,7 +269,8 @@ def tower_rank(d: StationaryOrderedDiagram, p: FinitePath) -> int:
 class _TowerSlice:
     """Rows 1..j of the tower over `vertex` at `level`, sliced once over
     the tower columns [lo, hi) (column 0 is the minimal path).  Windows of
-    single columns are cut from the slice when first asked for, and kept.
+    single columns are cut from the slice when first asked for, and kept;
+    cells() reads the rows as strings, one character per column.
     """
 
     def __init__(self, d, level: int, vertex: str, j: int, lo: int,
@@ -292,6 +291,7 @@ class _TowerSlice:
                     at += w
             rows.append(below)
             row = below
+        self.lo, self.hi = lo, hi
         self.rows = rows[::-1][:j]
         self.starts = [[start for _, start, _ in row] for row in self.rows]
         self.windows: dict = {}
@@ -315,6 +315,23 @@ class _TowerSlice:
                     for label, start, stop in cut))
             self.windows[column] = JSequenceWindow(span, tuple(rows))
         return self.windows[column]
+
+    def cells(self) -> list[str]:
+        """Rows 1..j as strings over the columns [lo, hi), boxes clipped to
+        them: a column's character codes its box's label, doubled, plus 1
+        where the box starts or enters the slice.  Two columns' windows
+        agree on a row where these strings agree over the window, save
+        that the first column's start bit is not part of the window."""
+        codes: dict = {}
+        texts = []
+        for row in self.rows:
+            parts = []
+            for label, start, stop in row:
+                code = 2 * codes.setdefault(label, len(codes))
+                parts.append(chr(code + 1) + chr(code) * (
+                    min(stop, self.hi) - max(start, self.lo) - 1))
+            texts.append("".join(parts))
+        return texts
 
 
 # ---------------------------------------------------------------------------
@@ -439,67 +456,98 @@ def expansiveness_witness_search(d: StationaryOrderedDiagram, i: int,
     never an artifact of edge truncation; only paths into a common terminal
     are paired, so the comparison is between two columns of one tower.
     The pool is a run of consecutive columns, so rows 1..i of the tower are
-    sliced once per vertex over the columns the pool's windows cover, and
-    each window is cut from that slice when a pair first needs it.
-    Each pair is compared over rows <= i by their agreement depth (the
-    depth of depth_and_cuts, without its common cuts); pairs agreeing
-    up to row 1 but not row i are additionally pushed down with
-    shift_down_path and the pushed pair is re-verified before being
-    reported.  Everything is window-relative: a hit certifies agreement at
-    this radius only, and no outcome ever certifies expansiveness.
+    sliced once per vertex and read as one cell string per row; a column's
+    row-r key is its window's slice of that string, and two columns agree
+    on row r exactly when their keys are equal.  Columns are bucketed by
+    their row-1 key: a pair from different buckets agrees on row 0 only
+    and is counted without being visited, so the cost is one key per
+    column and row plus one key comparison per pair inside a bucket.
+    Pairs agreeing up to row 1 but not row i are additionally pushed down
+    with shift_down_path and the pushed pair is re-verified on its own
+    path windows before being reported.  Paths are built only for bucket
+    pairs, and windows only for a reported witness.  Everything is
+    window-relative: a hit certifies agreement at this radius only, and
+    no outcome ever certifies expansiveness.
     """
     if i < 1:
         raise ValueError("target depth must be >= 1")
     level = max(i + radius, 2)
     per_vertex = max(3, isqrt(2 * budget // max(1, len(d.alphabet))) + 1)
+    heights = _tower_heights(d, level)
+    span = 2 * radius + 1
     cache: dict = {}
     examined = 0
     for v in d.alphabet:
-        pool = _path_pool(d, level, v, radius, per_vertex)
-        if len(pool) < 2:
+        # pool index a is tower column radius + a, its window [a, a + span)
+        n = min(heights[level][v] - 2 * radius, per_vertex)
+        if n < 2:
             continue
-        # pool[a] sits at tower column radius + a
-        tower = _TowerSlice(d, level, v, i, 0, 2 * radius + len(pool))
-        for a in range(len(pool) - 1):
-            x, wx = pool[a], tower.window(radius + a, radius)
-            for b in range(a + 1, len(pool)):
+        tower = _TowerSlice(d, level, v, i, 0, 2 * radius + n)
+        keys = [[chr(ord(text[a]) & ~1) + text[a + 1:a + span]
+                 for a in range(n)] for text in tower.cells()]
+        buckets: dict = {}
+        for a, key in enumerate(keys[0]):
+            buckets.setdefault(key, []).append(a)
+        paths: dict = {}
+
+        def path(a):
+            if a not in paths:
+                paths[a] = _column_path(d, level, v, radius + a)
+            return paths[a]
+
+        for a in range(n - 1):
+            members = buckets[keys[0][a]]
+            counted = a   # pairs (a, b) up to b = counted are examined
+            for b in members[bisect_right(members, a):]:
+                # the pairs in between agree on row 0 only
+                examined += b - counted - 1
+                counted = b
                 if examined >= budget:
-                    return NoneWithinBudget(budget, examined, radius)
+                    return NoneWithinBudget(budget, budget, radius)
                 examined += 1
-                y, wy = pool[b], tower.window(radius + b, radius)
-                depth = _agreement_depth(wx, wy)
+                depth = 1
+                while depth < i and keys[depth][a] == keys[depth][b]:
+                    depth += 1
                 if depth >= i:
-                    return CompatibleWitness(x, y, (wx, wy), depth, radius,
-                                             "enumeration", examined)
-                if depth >= 1:
-                    fx, fy = x, y
-                    for _ in range(i - 1):
-                        fx = shift_down_path(d, fx)
-                        fy = shift_down_path(d, fy)
-                    if fx == fy or examined >= budget:
-                        continue
-                    examined += 1
-                    depth = _common_depth(d, fx, fy, i, radius, cache)
-                    if depth >= i:
-                        return CompatibleWitness(
-                            fx, fy,
-                            (_window(d, fx, i, radius, cache),
-                             _window(d, fy, i, radius, cache)),
-                            depth, radius, "shift-down", examined)
+                    return CompatibleWitness(
+                        path(a), path(b),
+                        (tower.window(radius + a, radius),
+                         tower.window(radius + b, radius)),
+                        depth, radius, "enumeration", examined)
+                fx, fy = path(a), path(b)
+                for _ in range(i - 1):
+                    fx = shift_down_path(d, fx)
+                    fy = shift_down_path(d, fy)
+                if fx == fy or examined >= budget:
+                    continue
+                examined += 1
+                depth = _common_depth(d, fx, fy, i, radius, cache)
+                if depth >= i:
+                    return CompatibleWitness(
+                        fx, fy,
+                        (_window(d, fx, i, radius, cache),
+                         _window(d, fy, i, radius, cache)),
+                        depth, radius, "shift-down", examined)
+            examined += n - 1 - counted
+            if examined >= budget:
+                return NoneWithinBudget(budget, budget, radius)
     return NoneWithinBudget(budget, examined, radius)
 
 
-def _path_pool(d: StationaryOrderedDiagram, level: int, vertex: str,
-               radius: int, per_vertex: int):
-    """Successive paths into the vertex whose column keeps the full radius
-    window inside the tower, starting at the lowest such column: the paths
-    at tower columns radius, radius + 1, ..., at most per_vertex of them,
-    stepped by one chain-carrying successor walk from the minimal path."""
-    width = _tower_heights(d, level)[level][vertex]
-    first = minimal_path(d, level, vertex)
-    stop = max(radius, min(width - radius, radius + per_vertex))
-    paths = itertools.chain((first,), _successors(d, first))
-    return list(itertools.islice(paths, radius, stop))
+def _column_path(d: StationaryOrderedDiagram, level: int, vertex: str,
+                 column: int) -> FinitePath:
+    """The path at a column of the tower over `vertex`, the inverse of
+    tower_rank: one descent, taking at each level the incoming edge whose
+    box holds the column."""
+    heights = _tower_heights(d, level)
+    indices, v = [0] * level, vertex
+    for k in range(level, 0, -1):
+        for j, v in enumerate(d.in_edges(k, v)):
+            if column < heights[k - 1][v]:
+                break
+            column -= heights[k - 1][v]
+        indices[k - 1] = j
+    return FinitePath(level, vertex, tuple(indices))
 
 
 # ---------------------------------------------------------------------------

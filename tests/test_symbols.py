@@ -36,7 +36,7 @@ from adicshift import (
     vershik_successor,
     window_from_parse,
 )
-from adicshift.symbols import MAX_SYMBOL_CELLS, _tower_heights
+from adicshift.symbols import MAX_SYMBOL_CELLS, _column_path, _tower_heights
 from oracles import (descent_path_window, expanded_symbol_rows,
                      pairwise_witness_search)
 from strategies import (CHACON, DOUBLING, THUE_MORSE, stationary_diagrams,
@@ -286,6 +286,16 @@ def test_tower_rank_matches_enumeration_order(s):
 
 
 @settings(max_examples=60, deadline=None)
+@given(stationary_diagrams(), st.integers(1, 6), st.data())
+def test_column_path_inverts_tower_rank(d, level, data):
+    v = data.draw(st.sampled_from(d.alphabet))
+    for column, p in enumerate(enumerate_paths(d, level, v)):
+        q = _column_path(d, level, v, column)
+        assert q == p
+        assert tower_rank(d, q) == column
+
+
+@settings(max_examples=60, deadline=None)
 @given(stationary_diagrams(), st.integers(1, 4),
        st.sampled_from((0, 1, 2, 5)), st.data())
 def test_path_window_matches_per_row_descent(d, level, radius, data):
@@ -415,11 +425,23 @@ def test_witness_search_exhausts_budget_without_witness():
 # radius 0 on a two-column tower: the pool runs up to the maximal path
 @example(StationaryOrderedDiagram(("v",), (("v",),), (2,)), 1, 0, 500)
 @settings(max_examples=150, deadline=None)
-@given(stationary_diagrams(), st.integers(1, 3),
-       st.sampled_from((0, 1, 2, 5, 16)), st.sampled_from((1, 20, 500)))
+@given(stationary_diagrams(), st.integers(1, 4),
+       st.sampled_from((0, 1, 2, 5, 16)), st.integers(1, 600))
 def test_witness_search_matches_pairwise_reference(d, rows, radius, budget):
     assert expansiveness_witness_search(d, rows, radius, budget) == \
         pairwise_witness_search(d, rows, radius, budget)
+
+
+def test_witness_search_matches_pairwise_reference_on_odometers():
+    # the odometer searches of the diagram survey: width 2-3, top count 1-3,
+    # rows 1-6, budget 500
+    for width in (2, 3):
+        for top in (1, 2, 3):
+            d = StationaryOrderedDiagram(("v",), (("v",) * width,), (top,))
+            for rows in range(1, 7):
+                radius = 16 if (width + top + rows) % 2 else 32
+                assert expansiveness_witness_search(d, rows, radius, 500) == \
+                    pairwise_witness_search(d, rows, radius, 500)
 
 
 def test_witness_search_on_narrow_and_exhausted_towers():
