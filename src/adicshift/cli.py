@@ -25,7 +25,7 @@ from .errors import (AlphabetError, CountExceedsImage, DecompositionFailure,
                      InsufficientGrowth, NoNesting, ScaleTooSmall,
                      ShortLettersPresent, SpanMismatch, SymbolTooLarge,
                      UnboundedShorts, WindowTooShort)
-from .words import parse_substitution
+from .words import Word, parse_substitution
 
 if TYPE_CHECKING:
     from .diagrams import StationaryOrderedDiagram
@@ -42,13 +42,6 @@ def _load(path: str) -> tuple[Substitution, str]:
     with open(path, encoding="utf-8") as fh:
         text = fh.read()
     return parse_substitution(text), text
-
-
-def _render(letters) -> str:
-    """One word as text; spaces only when some letter is multi-character."""
-    if all(len(a) == 1 for a in letters):
-        return "".join(letters)
-    return " ".join(letters)
 
 
 def _head(args, text: str) -> list[str]:
@@ -79,7 +72,7 @@ def _cmd_analyze(s, args):
 
     lines = [f"letters: {' '.join(s.alphabet)}"]
     for a in s.alphabet:
-        lines.append(f"image {a}: {_render(s.image(a))}")
+        lines.append(f"image {a}: {Word(s.image(a)).text}")
     kinds = classify_letters(s)
     lines.append(f"long: {' '.join(kinds.long) or '-'}")
     lines.append(f"short: {' '.join(kinds.short) or '-'}")
@@ -98,14 +91,11 @@ def _cmd_analyze(s, args):
 
 
 def _cmd_language(s, args):
-    from .words import factor_language
+    from .words import _shortlex, factor_language
 
-    # codes follow the alphabet order, so (length, code) is sorted_words'
-    # order; rule-file letters are single characters, so words join bare
-    words = sorted(factor_language(s, args.cap).encoded,
-                   key=lambda w: (len(w), w))
+    words = sorted(factor_language(s, args.cap).encoded, key=_shortlex)
     lines = [f"factors: {len(words)}"]
-    lines.extend(f"word: {''.join(s.decode(w))}" for w in words)
+    lines.extend(f"word: {Word(s.decode(w)).text}" for w in words)
     return lines
 
 
@@ -131,7 +121,7 @@ def _cmd_periodic_check(s, args):
     found = periodicity_witness_search(s, args.cap, args.steps)
     if isinstance(found, NoneUpToBounds):
         return [f"witness: none (len<={found.max_len} pow<={found.max_pow})"]
-    return [f"witness: {_render(found)}",
+    return [f"witness: {Word(found).text}",
             f"repeated: {args.steps}"]
 
 
@@ -183,7 +173,7 @@ def _cmd_derive(s, args):
     for idx in rs.indices:
         lines.append(f"return-word {idx}: {rs.word_text(idx)}")
     for idx in tau.alphabet:
-        lines.append(f"tau {idx}: {_render(tau.image(idx))}")
+        lines.append(f"tau {idx}: {Word(tau.image(idx)).text}")
     return lines
 
 
@@ -197,7 +187,7 @@ def _cmd_build_diagram(s, args):
     for v in d.alphabet:
         lines.append(f"top {v}: {d.top_count(v)}")
     for v in d.alphabet:
-        lines.append(f"reads {v}: {_render(d.read_image(v))}")
+        lines.append(f"reads {v}: {Word(d.read_image(v)).text}")
     return lines
 
 
@@ -208,7 +198,7 @@ def _cmd_read(s, args):
     tau = read_substitution(d)
     lines = []
     for v in tau.alphabet:
-        lines.append(f"read {v}: {_render(tau.image(v))}")
+        lines.append(f"read {v}: {Word(tau.image(v)).text}")
     return lines
 
 
@@ -230,13 +220,21 @@ def _cmd_recognize(s, args):
     from .words import expand
 
     length = 2 * args.radius + 1
-    k, word = 0, (s.alphabet[0],)
+    word, seen = (s.alphabet[0],), set()
     while len(word) < length:
-        k += 1
-        word = expand(s, (s.alphabet[0],), k)
+        # iterates never shrink, so a bounded first letter repeats an
+        # iterate of the current length, and a growing one never does
+        if word in seen:
+            raise InsufficientGrowth(
+                f"the iterates of {s.alphabet[0]!r} stop at length "
+                f"{len(word)}, short of the window length {length}")
+        grown = expand(s, word, 1)
+        seen = seen if len(grown) == len(word) else set()
+        seen.add(word)
+        word = grown
     center = len(word) // 2
     window = word[center - args.radius:center + args.radius + 1]
-    lines = [f"window: {_render(window)}"]
+    lines = [f"window: {Word(window).text}"]
     result = recognize_window(s, window, args.depth)
     if isinstance(result, AmbiguityReport):
         lines.append(f"verdict: ambiguous at level {result.level}")

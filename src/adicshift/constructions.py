@@ -38,13 +38,13 @@ from .words import (
     Word,
     _cycle,
     _reach,
+    _shortlex,
     _window_closure,
     _windows,
     classify_letters,
     factor_language,
     nesting_class,
     short_block_bound,
-    sorted_words,
 )
 
 # ---------------------------------------------------------------------------
@@ -122,11 +122,11 @@ def nesting_vocabulary(s: Substitution) -> list[MarkedWord]:
             f"all-short factors keep growing past length {bound.cap}")
     long_set = set(cls.long)
     long_enc = set(s.encode(cls.long))
-    kept = (s.decode(w) for w in factor_language(s, 2 * bound + 1).encoded
+    kept = (w for w in factor_language(s, 2 * bound + 1).encoded
             if w[0] in long_enc and w[-1] in long_enc
             and sum(c in long_enc for c in w) == 3)
-    return [_marked_from_letters(w, long_set, starts_long)
-            for w in sorted_words(s, kept)]
+    return [_marked_from_letters(s.decode(w), long_set, starts_long)
+            for w in sorted(kept, key=_shortlex)]
 
 
 def _runs_start(s: Substitution, letters, long_set):
@@ -250,25 +250,15 @@ def multi_edge_encoding(d: StationaryOrderedDiagram) -> EncodedSystem:
                 f"vertex {a!r} has {n} top edges but only {m} image letters; "
                 "replace the read rule by a power first")
 
-    names: list[str] = []
-    images: list[tuple[str, ...]] = []
     counts = tuple(d.top_count(a) for a in d.alphabet)
-
-    def row(a: str) -> tuple[str, ...]:
-        return tuple(f"{a}:{i}" for i in range(d.top_count(a)))
-
-    def rows(letters) -> tuple[str, ...]:
-        return tuple(x for b in letters for x in row(b))
-
-    for a in d.alphabet:
+    # the block rows name tau's letters and spell its images
+    shape = EncodedSystem(d.alphabet, counts, None)
+    images = []
+    for a, n in zip(d.alphabet, counts):
         img = d.read_image(a)
-        n = d.top_count(a)
-        for i in range(n - 1):
-            names.append(f"{a}:{i}")
-            images.append(row(img[i]))
-        names.append(f"{a}:{n - 1}")
-        images.append(rows(img[n - 1:]))
-    tau = Substitution(tuple(names), tuple(images))
+        images.extend(map(shape.block_row, img[:n - 1]))
+        images.append(shape.encode_word(img[n - 1:]))
+    tau = Substitution(shape.encode_word(d.alphabet), tuple(images))
     system = EncodedSystem(d.alphabet, counts, tau)
     for a in d.alphabet:
         if tau.apply(system.block_row(a)) != system.encode_word(d.read_image(a)):
@@ -477,7 +467,7 @@ def _return_words(s: Substitution, comps, scale: int | None):
     # a return word and its two marker letters lie in a (scale + 2)-window
     found = {w for x in _window_closure(s, s._images_enc, scale + 2)
              for w in split(x)[1:-1]}
-    vocabulary.update(dict.fromkeys(sorted(found, key=lambda w: (len(w), w))))
+    vocabulary.update(dict.fromkeys(sorted(found, key=_shortlex)))
     return ReturnWordSystem(pairs, power, tuple(map(s.decode, vocabulary)))
 
 
@@ -601,7 +591,7 @@ def is_m_primitive(s: Substitution, scale: int = 8):
         # s.power(k) keeps the alphabet order, hence the encoding
         missing = lang.encoded - power_lang.encoded
         if missing:
-            sample = "".join(sorted_words(s, map(s.decode, missing))[0])
+            sample = "".join(s.decode(min(missing, key=_shortlex)))
             return NotMPrimitive(
                 f"power {k} loses the factor {sample!r} at scale {scale}")
 

@@ -12,7 +12,7 @@ from math import lcm
 
 from ._record import record
 from .errors import AlphabetError, InsufficientGrowth, ShortLettersPresent
-from .recognize import _tile_boundaries, one_word_tilings
+from .recognize import one_word_tilings
 from .words import (
     Substitution,
     Word,
@@ -193,12 +193,13 @@ def core_membership(s: Substitution, window: Word, n: int) -> CoreCheck:
     while stack and deepest < n:
         letters, marker, depth = stack.pop()
         for t in one_word_tilings(s, letters):
-            # the marker must sit on a tile boundary; it moves to the
-            # position of that boundary in the parent word
-            bounds = _tile_boundaries(s, t.parent, t.offset)
-            if marker in bounds:
+            # the marker must sit on a tile cut; it moves to the position
+            # of that cut in the parent word, one further when a clipped
+            # first tile starts left of the window
+            if marker in t.cuts:
                 deepest = max(deepest, depth + 1)
-                stack.append((t.parent, bounds.index(marker), depth + 1))
+                stack.append((t.parent, t.cuts.index(marker) + (t.offset > 0),
+                              depth + 1))
     if deepest < n:
         return CoreCheck(False, n, deepest + 1)
     return CoreCheck(True, n)

@@ -58,10 +58,11 @@ _SHORT = 8             # words this long or shorter: factor_language(s, 8)
 _POPS_PER_LETTER = 16  # walk budget: partial covers popped per word letter
 
 
-def _tile_boundaries(s: Substitution, parent, offset):
-    """Tile boundary positions in window coordinates; first entry <= 0."""
-    images = map(s.images.__getitem__, map(s._index.__getitem__, parent))
-    return list(accumulate(map(len, images), initial=-offset))
+def _tile_boundaries(images, parent: str, offset):
+    """Tile boundary positions in window coordinates of the encoded parent,
+    by the encoded image table of _walk_tables; first entry <= 0."""
+    return list(accumulate(map(len, map(images.__getitem__, parent)),
+                           initial=-offset))
 
 
 @lru_cache(maxsize=64)
@@ -213,12 +214,11 @@ def one_word_tilings(s: Substitution, window, interior_only: bool = False):
     tilings = []
     for parent, offset in sorted(
             found, key=lambda f: (len(images[f[0][0]]) - f[1], f[0])):
-        letters = s.decode(parent)
-        bounds = _tile_boundaries(s, letters, offset)
+        bounds = _tile_boundaries(images, parent, offset)
         cuts = tuple(b for b in bounds if 0 <= b <= n)
         left = min(bounds[1], n) - max(bounds[0], 0)
         right = min(bounds[-1], n) - max(bounds[-2], 0)
-        tilings.append(Tiling(letters, offset, n, (left, right), cuts))
+        tilings.append(Tiling(s.decode(parent), offset, n, (left, right), cuts))
     return tilings
 
 
@@ -261,18 +261,18 @@ class AmbiguityReport:
     note: str = ""
 
 
-def _letter_forced(s: Substitution, visible: str, left_hidden: bool,
+def _letter_forced(images, visible: str, left_hidden: bool,
                    right_hidden: bool) -> bool:
     """Is the letter of a partially visible tile forced by its visible part?
 
-    `visible` is the observed fragment of the tile's image; a hidden side
-    means at least one image letter continues beyond the known region there.
+    `visible` is the observed fragment of the tile's encoded image; a hidden
+    side means at least one image letter continues beyond the known region
+    there.  `images` is the encoded image table of _walk_tables.
     """
     if not visible:
         return False
     fits = 0
-    for a in s.alphabet:
-        img = "".join(s.image(a))
+    for img in images.values():
         if left_hidden and right_hidden:
             ok = len(img) > len(visible) + 1 and visible in img[1:-1]
         elif left_hidden:
@@ -286,29 +286,31 @@ def _letter_forced(s: Substitution, visible: str, left_hidden: bool,
     return fits == 1
 
 
-def _annotate_chain(s: Substitution, chain, base, unit):
+def _annotate_chain(images, chain, base: str, unit):
     """Per-level trace of one chain of tilings, in base coordinates.
 
-    Returns a list of (cuts, tiles) per level, where cuts are the boundary
-    positions surviving the level's clip and tiles are (start, end, letter)
+    The base window and the chain's (parent, offset) tilings are encoded,
+    and `images` is the encoded image table of _walk_tables.  Returns a
+    list of (cuts, tiles) per level, where cuts are the boundary positions
+    surviving the level's clip and tiles are (start, end, encoded letter)
     triples kept for the next level -- fully located tiles meeting the
     clipped interior, plus boundary-straddling tiles whose letter the
     visible fragment forces.  Unknown coordinates are None.
     """
     length = len(base)
     trace = []
-    prev_word = "".join(base)        # word the current level retiles
+    prev_word = base                 # word the current level retiles
     prev_bounds = list(range(length + 1))   # letter index -> base coordinate
     kept_lo, kept_hi = 0, length     # boundary-index clamp from kept tiles
-    for level, t in enumerate(chain, start=1):
-        lb = _tile_boundaries(s, t.parent, t.offset)
+    for level, (parent, offset) in enumerate(chain, start=1):
+        lb = _tile_boundaries(images, parent, offset)
         bb = [prev_bounds[p] if kept_lo <= p <= kept_hi else None
               for p in lb]
         lo, hi = unit * level, length - unit * level
         cuts = tuple(b for b in bb if b is not None and lo <= b <= hi)
         tiles = []
         kept_idx = []
-        for j, a in enumerate(t.parent):
+        for j, a in enumerate(parent):
             b, e = bb[j], bb[j + 1]
             if (b is not None and b > hi) or (e is not None and e < lo):
                 continue
@@ -319,14 +321,15 @@ def _annotate_chain(s: Substitution, chain, base, unit):
             if left_hidden or right_hidden:
                 p, q = max(lb[j], kept_lo), min(lb[j + 1], kept_hi)
                 visible = prev_word[p:q]
-                if not _letter_forced(s, visible, left_hidden, right_hidden):
+                if not _letter_forced(images, visible, left_hidden,
+                                      right_hidden):
                     continue
             tiles.append((b, e, a))
             kept_idx.append(j)
         if kept_idx and kept_idx != list(range(kept_idx[0], kept_idx[-1] + 1)):
             raise AssertionError("kept tiles must form a contiguous run")
         trace.append((cuts, tuple(tiles)))
-        prev_word = "".join(t.parent)
+        prev_word = parent
         prev_bounds = bb
         if kept_idx:
             kept_lo, kept_hi = kept_idx[0], kept_idx[-1] + 1
@@ -374,7 +377,11 @@ def recognize_window(s: Substitution, window, n: int, chain_budget: int = 1000):
                                    "no tilings at all: not a language window")
         chains = extended
 
-    traces = [tuple(_annotate_chain(s, chain, base, unit)) for chain in chains]
+    images, encoded = _walk_tables(s)[0], s.encode(base)
+    traces = []
+    for chain in chains:
+        tilings = [(s.encode(t.parent), t.offset) for t in chain]
+        traces.append(tuple(_annotate_chain(images, tilings, encoded, unit)))
     if any(tr != traces[0] for tr in traces[1:]):
         level = next(
             k + 1 for k in range(n)
@@ -391,7 +398,7 @@ def recognize_window(s: Substitution, window, n: int, chain_budget: int = 1000):
         if not tiles:
             raise WindowTooShort(
                 "no level tile meets the clipped interior; enlarge the radius")
-        parent = tuple(a for _, _, a in tiles)
+        parent = s.decode([a for _, _, a in tiles])
         bounds = (tiles[0][0],) + tuple(e for _, e, _ in tiles)
         levels.append(ChainLevel(parent, bounds))
     return ParseChain(base, tuple(levels))

@@ -269,8 +269,8 @@ def tower_rank(d: StationaryOrderedDiagram, p: FinitePath) -> int:
 class _TowerSlice:
     """Rows 1..j of the tower over `vertex` at `level`, sliced once over
     the tower columns [lo, hi) (column 0 is the minimal path).  Windows of
-    single columns are cut from the slice when first asked for, and kept;
-    cells() reads the rows as strings, one character per column.
+    single columns are cut from the slice; cells() reads the rows as
+    strings, one character per column.
     """
 
     def __init__(self, d, level: int, vertex: str, j: int, lo: int,
@@ -294,27 +294,20 @@ class _TowerSlice:
         self.lo, self.hi = lo, hi
         self.rows = rows[::-1][:j]
         self.starts = [[start for _, start, _ in row] for row in self.rows]
-        self.windows: dict = {}
-        self.unit_rows: dict = {}   # row 0 by rebased span, shared
 
     def window(self, column: int, radius: int) -> JSequenceWindow:
         """The radius window of one column, clipped to the tower and
         rebased so the column sits at 0; it must lie within [lo, hi)."""
-        if column not in self.windows:
-            lo = max(column - radius, 0)
-            hi = min(column + radius + 1, self.width)
-            span = (lo - column, hi - column)
-            if span not in self.unit_rows:
-                self.unit_rows[span] = tuple((TOP, k, k + 1)
-                                             for k in range(*span))
-            rows = [self.unit_rows[span]]
-            for row, starts in zip(self.rows, self.starts):
-                cut = row[bisect_right(starts, lo) - 1:bisect_left(starts, hi)]
-                rows.append(tuple(
-                    (label, max(start, lo) - column, min(stop, hi) - column)
-                    for label, start, stop in cut))
-            self.windows[column] = JSequenceWindow(span, tuple(rows))
-        return self.windows[column]
+        lo = max(column - radius, 0)
+        hi = min(column + radius + 1, self.width)
+        span = (lo - column, hi - column)
+        rows = [tuple((TOP, k, k + 1) for k in range(*span))]
+        for row, starts in zip(self.rows, self.starts):
+            cut = row[bisect_right(starts, lo) - 1:bisect_left(starts, hi)]
+            rows.append(tuple(
+                (label, max(start, lo) - column, min(stop, hi) - column)
+                for label, start, stop in cut))
+        return JSequenceWindow(span, tuple(rows))
 
     def cells(self) -> list[str]:
         """Rows 1..j as strings over the columns [lo, hi), boxes clipped to

@@ -3,9 +3,13 @@
 A substitution is a map from a finite alphabet into nonempty words over that
 alphabet.  Letters are arbitrary short strings (single characters in the rule
 file grammar, but derived alphabets -- return-word indices, marked words --
-need longer labels).  Internally the heavy string machinery re-encodes each
-letter as a single private-use character so that expansion and window slicing
-run on plain Python strings.
+need longer labels).
+
+Inside the library a word is its encoded string (Substitution.encode: one
+private-use character per letter, codes in alphabet order), so expansion is
+str.translate, slicing and lengths count letters whatever the labels, and
+the (length, code) order of encoded words is sorted_words' order.  Letter
+tuples appear only where a public record or report is built.
 """
 
 from __future__ import annotations
@@ -84,7 +88,7 @@ class Substitution:
     def rule_text(self) -> str:
         """Render back into the rule-file grammar (used by reports)."""
         return "\n".join(
-            f"{a} -> {''.join(img) if _single_chars(img) else ' '.join(img)}"
+            f"{a} -> {Word(img).text}"
             for a, img in zip(self.alphabet, self.images))
 
     # -- internal single-character codec ------------------------------------
@@ -99,7 +103,7 @@ class Substitution:
 
     @cached_property
     def _images_enc(self) -> tuple[str, ...]:
-        return tuple("".join(self._enc[b] for b in img) for img in self.images)
+        return tuple(map(self.encode, self.images))
 
     @cached_property
     def _table(self) -> dict[int, str]:
@@ -114,10 +118,6 @@ class Substitution:
 
     def decode(self, enc: str) -> tuple[str, ...]:
         return tuple(map(self._dec.__getitem__, enc))
-
-
-def _single_chars(letters) -> bool:
-    return all(len(a) == 1 for a in letters)
 
 
 def parse_substitution(text: str) -> Substitution:
@@ -175,14 +175,18 @@ class Word:
         return len(self.letters)
 
     @property
+    def _sep(self) -> str:
+        return "" if all(len(a) == 1 for a in self.letters) else " "
+
+    @property
     def text(self) -> str:
-        sep = "" if _single_chars(self.letters) else " "
-        return sep.join(self.letters)
+        """The letters, joined bare when each is one character."""
+        return self._sep.join(self.letters)
 
     def __str__(self):
         if self.marker is None:
             return self.text
-        sep = "" if _single_chars(self.letters) else " "
+        sep = self._sep
         left = sep.join(self.letters[:self.marker])
         right = sep.join(self.letters[self.marker:])
         return f"{left}.{right}"
@@ -210,19 +214,14 @@ def expand(s: Substitution, w, n: int):
     """
     if n < 0:
         raise ValueError("power must be >= 0")
-    if isinstance(w, Word):
-        letters = as_letters(s, w)
-        out = s.encode(letters)
-        cut = s.encode(letters[:w.marker]) if w.marker is not None else None
-        for _ in range(n):
-            out = out.translate(s._table)
-            if cut is not None:
-                cut = cut.translate(s._table)
-        return Word(s.decode(out), len(cut) if cut is not None else None)
     letters = as_letters(s, w)
     enc = s.encode(letters)
     for _ in range(n):
         enc = enc.translate(s._table)
+    if isinstance(w, Word):
+        cut = (None if w.marker is None else
+               sum(map(expansion_lengths(s, n).__getitem__, letters[:w.marker])))
+        return Word(s.decode(enc), cut)
     dec = s.decode(enc)
     return "".join(dec) if isinstance(w, str) else dec
 
@@ -425,6 +424,12 @@ def sorted_words(s: Substitution, words) -> list[tuple[str, ...]]:
     return sorted(words, key=lambda w: (len(w), tuple(idx[a] for a in w)))
 
 
+def _shortlex(enc: str) -> tuple[int, str]:
+    """Sort key of encoded words: length, then code, which is sorted_words'
+    order on the decoded words, as codes follow the alphabet."""
+    return len(enc), enc
+
+
 # ---------------------------------------------------------------------------
 # structural predicates
 
@@ -490,9 +495,8 @@ def periodicity_witness_search(s: Substitution, max_len: int, max_pow: int):
     Candidates run in length-then-lexicographic order; first hit wins."""
     if max_len < 1 or max_pow < 1:
         raise ValueError("bounds must be >= 1")
-    lang = factor_language(s, max_len * max_pow)
-    candidates = (s.decode(w) for w in lang.encoded if len(w) <= max_len)
-    for u in sorted_words(s, candidates):
+    lang = factor_language(s, max_len * max_pow).encoded
+    for u in sorted((w for w in lang if len(w) <= max_len), key=_shortlex):
         if u * max_pow in lang:
-            return u
+            return s.decode(u)
     return NoneUpToBounds(max_len, max_pow)

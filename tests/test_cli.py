@@ -94,6 +94,24 @@ def test_fronts_that_never_close_exit_three(capsys, tmp_path):
     assert "error: a front would pass" in out
 
 
+@pytest.mark.parametrize("rules, first, stop", [
+    ("s -> s\na -> as\n", "s", 1),
+    ("a -> a\nb -> s\ns -> abs\n", "a", 1),
+    ("a -> bc\nb -> c\nc -> b\n", "a", 2),   # grows once, then cycles
+])
+def test_recognize_bounded_first_letter_exits_three(capsys, tmp_path, rules,
+                                                    first, stop):
+    # the first letter's iterates repeat short of the window: a report
+    # ending in an error line, not an endless loop
+    path = tmp_path / "bounded.sub"
+    path.write_text(rules)
+    code, out = invoke(capsys, "recognize", "--sub", str(path))
+    assert code == 3
+    assert out.splitlines()[-1] == (
+        f"error: the iterates of {first!r} stop at length {stop}, short of "
+        "the window length 33")
+
+
 @pytest.mark.parametrize("argv, code", [
     (("vershik", "--steps", "-1"), 2),
     (("minimal", "--cap", "0"), 2),

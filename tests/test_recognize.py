@@ -4,15 +4,17 @@ heights."""
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import adicshift.recognize as recognize
-from adicshift import (WindowTooShort, expand, factor_language,
-                       parse_substitution)
+from adicshift import (Substitution, WindowTooShort, Word, core_membership,
+                       expand, factor_language, parse_substitution)
 from adicshift.recognize import (
     AmbiguityReport,
+    ChainLevel,
     ParseChain,
+    Tiling,
     chain_cut_positions,
     kr_tower_heights,
     one_word_tilings,
@@ -303,6 +305,75 @@ def test_chain_expansions_match_window():
             assert full[lo - start:hi - start] == tuple(w[lo:hi])
             checked += 1
     assert checked > 10
+
+
+def _renamed(s, labels):
+    return Substitution(tuple(map(labels.get, s.alphabet)),
+                        tuple(tuple(map(labels.get, img)) for img in s.images))
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except (WindowTooShort, ValueError) as exc:
+        return type(exc)
+
+
+RENAMINGS = [(FIBONACCI, {"a": "aa", "b": "bb"}),
+             (THUE_MORSE, {"a": "a", "b": "bc"}),
+             (CHACON, {"0": "0", "s": "ss", "1": "1x"})]
+
+
+@st.composite
+def renamings(draw):
+    """A substitution and a renaming of its letters to distinct labels,
+    some of them several characters long."""
+    if draw(st.booleans()):
+        return draw(st.sampled_from(RENAMINGS))
+    s = draw(substitutions(max_letters=3, max_image=3))
+    suffixes = st.sampled_from(["", "x", "yz"])
+    return s, {a: a + draw(suffixes) for a in s.alphabet}
+
+
+@settings(max_examples=60, deadline=None)
+@given(renamings(), st.integers(0, 200), st.integers(4, 32), st.integers(1, 3),
+       st.data())
+@example(RENAMINGS[0], 98, 32, 3, None)
+@example(RENAMINGS[1], 14, 32, 3, None)
+def test_multi_character_letters_parse_as_their_renaming(
+        renaming, start, radius, depth, data):
+    # parsing commutes with renaming letters: a label of several characters
+    # is still one letter, and every position counts letters
+    s, labels = renaming
+    t = _renamed(s, labels)
+
+    def rename(word):
+        return tuple(map(labels.get, word))
+
+    def rename_tiling(x):
+        return Tiling(rename(x.parent), x.offset, x.length, x.boundary, x.cuts)
+
+    text = (s.alphabet[0],)
+    for _ in range(12):
+        if len(text) >= start + 2 * radius + 1:
+            break
+        text = expand(s, text, 1)
+    window = text[start:start + 2 * radius + 1] or text[-2 * radius - 1:]
+    assert ([rename_tiling(x) for x in one_word_tilings(s, window)]
+            == one_word_tilings(t, rename(window)))
+    parse = _outcome(recognize_window, s, window, depth)
+    if isinstance(parse, ParseChain):
+        parse = ParseChain(rename(parse.base), tuple(
+            ChainLevel(rename(l.parent), l.bounds) for l in parse.levels))
+    elif isinstance(parse, AmbiguityReport):
+        parse = AmbiguityReport(parse.level,
+                                tuple(map(rename_tiling, parse.tilings)),
+                                parse.interior, parse.note)
+    assert _outcome(recognize_window, t, rename(window), depth) == parse
+    marker = len(window) // 2 if data is None else data.draw(
+        st.integers(0, len(window)))
+    assert (core_membership(t, Word(rename(window), marker), depth)
+            == core_membership(s, Word(window, marker), depth))
 
 
 # ---------------------------------------------------------------------------

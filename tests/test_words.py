@@ -14,6 +14,7 @@ from adicshift import (
     GrammarError,
     NestingClass,
     NoneUpToBounds,
+    Substitution,
     Unbounded,
     Word,
     classify_letters,
@@ -28,7 +29,7 @@ from adicshift import (
     short_block_bound,
     sorted_words,
 )
-from adicshift.words import _downward
+from adicshift.words import _downward, _shortlex
 from oracles import (cubic_downward, cycling_factor_language, is_primitive,
                      naive_factors, naive_incidence_power)
 from strategies import CHACON, DOUBLING, FIBONACCI, IDENTITY, THUE_MORSE, substitutions
@@ -343,6 +344,18 @@ def test_sorted_words_order():
         ("0",), ("s",), ("1",),
         ("0", "0"), ("0", "s"), ("0", "1"),
         ("s", "0"), ("1", "0"), ("1", "1")]
+
+
+@pytest.mark.parametrize("s", [
+    parse_substitution("b -> ba\na -> b"),
+    Substitution(("bb", "a", "c1"), (("bb", "a"), ("c1", "bb", "a"), ("a",))),
+], ids=["b-first", "multi-character"])
+def test_encoded_order_is_sorted_words_order(s):
+    # codes follow the alphabet, not the letters' own string order
+    lang = factor_language(s, 5)
+    assert len(lang.encoded) > 10
+    assert ([s.decode(w) for w in sorted(lang.encoded, key=_shortlex)]
+            == sorted_words(s, lang.factors))
 
 
 # ---------------------------------------------------------------------------
