@@ -2,28 +2,21 @@
 package uses, without its import (which loads ``inspect``) and with one
 compile per class instead of six.
 
-``@record`` and ``@record(frozen=True)`` take the fields from the class
-annotations, in order, with class-level defaults, and add a
-positional-or-keyword ``__init__`` that ends by calling ``__post_init__``
-when the class has one, ``__repr__`` as ``Name(f=v, ...)``, ``__eq__`` on
-the same class only, and ``__match_args__``.  A frozen record hashes as the
-tuple of its fields and refuses assignment and deletion; a plain one is
-unhashable.
+``@record`` takes the fields from the class annotations, in order, with
+class-level defaults, and adds a positional-or-keyword ``__init__`` that
+ends by calling ``__post_init__`` when the class has one, ``__repr__`` as
+``Name(f=v, ...)``, ``__eq__`` on the same class only, and
+``__match_args__``.  Every record is frozen, as with the data-class option
+``frozen=True``: it hashes as the tuple of its fields (so a record with an
+unhashable field is unhashable) and refuses assignment and deletion.
 """
 
 
-def record(cls=None, /, *, frozen=False):
-    if cls is None:
-        return lambda cls: _build(cls, frozen)
-    return _build(cls, frozen)
-
-
-def _build(cls, frozen: bool):
+def record(cls):
     names = tuple(cls.__dict__.get("__annotations__", ()))
     params = ", ".join(f"{n}=_cls.{n}" if n in cls.__dict__ else n
                        for n in names)
-    store = "_init(self, {0!r}, {0})" if frozen else "self.{0} = {0}"
-    body = [store.format(n) for n in names]
+    body = [f"_init(self, {n!r}, {n})" for n in names]
     if hasattr(cls, "__post_init__"):
         body.append("self.__post_init__()")
     mine = "".join(f"self.{n}, " for n in names)
@@ -45,11 +38,10 @@ def _build(cls, frozen: bool):
     cls.__init__ = namespace["__init__"]
     cls.__repr__ = __repr__
     cls.__eq__ = namespace["__eq__"]
-    cls.__hash__ = namespace["__hash__"] if frozen else None
+    cls.__hash__ = namespace["__hash__"]
     cls.__match_args__ = names
-    if frozen:
-        cls.__setattr__ = _refuse_assignment
-        cls.__delattr__ = _refuse_deletion
+    cls.__setattr__ = _refuse_assignment
+    cls.__delattr__ = _refuse_deletion
     return cls
 
 

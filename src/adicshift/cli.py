@@ -25,7 +25,7 @@ from .errors import (AlphabetError, CountExceedsImage, DecompositionFailure,
                      InsufficientGrowth, NoNesting, ScaleTooSmall,
                      ShortLettersPresent, SpanMismatch, SymbolTooLarge,
                      UnboundedShorts, WindowTooShort)
-from .words import Word, parse_substitution
+from .words import _spell, parse_substitution
 
 if TYPE_CHECKING:
     from .diagrams import StationaryOrderedDiagram
@@ -72,7 +72,7 @@ def _cmd_analyze(s, args):
 
     lines = [f"letters: {' '.join(s.alphabet)}"]
     for a in s.alphabet:
-        lines.append(f"image {a}: {Word(s.image(a)).text}")
+        lines.append(f"image {a}: {_spell(s.image(a), s.alphabet)}")
     kinds = classify_letters(s)
     lines.append(f"long: {' '.join(kinds.long) or '-'}")
     lines.append(f"short: {' '.join(kinds.short) or '-'}")
@@ -95,7 +95,7 @@ def _cmd_language(s, args):
 
     words = sorted(factor_language(s, args.cap).encoded, key=_shortlex)
     lines = [f"factors: {len(words)}"]
-    lines.extend(f"word: {Word(s.decode(w)).text}" for w in words)
+    lines.extend(f"word: {_spell(s.decode(w), s.alphabet)}" for w in words)
     return lines
 
 
@@ -121,7 +121,7 @@ def _cmd_periodic_check(s, args):
     found = periodicity_witness_search(s, args.cap, args.steps)
     if isinstance(found, NoneUpToBounds):
         return [f"witness: none (len<={found.max_len} pow<={found.max_pow})"]
-    return [f"witness: {Word(found).text}",
+    return [f"witness: {_spell(found, s.alphabet)}",
             f"repeated: {args.steps}"]
 
 
@@ -173,7 +173,7 @@ def _cmd_derive(s, args):
     for idx in rs.indices:
         lines.append(f"return-word {idx}: {rs.word_text(idx)}")
     for idx in tau.alphabet:
-        lines.append(f"tau {idx}: {Word(tau.image(idx)).text}")
+        lines.append(f"tau {idx}: {_spell(tau.image(idx), tau.alphabet)}")
     return lines
 
 
@@ -187,7 +187,7 @@ def _cmd_build_diagram(s, args):
     for v in d.alphabet:
         lines.append(f"top {v}: {d.top_count(v)}")
     for v in d.alphabet:
-        lines.append(f"reads {v}: {Word(d.read_image(v)).text}")
+        lines.append(f"reads {v}: {_spell(d.read_image(v), d.alphabet)}")
     return lines
 
 
@@ -198,7 +198,7 @@ def _cmd_read(s, args):
     tau = read_substitution(d)
     lines = []
     for v in tau.alphabet:
-        lines.append(f"read {v}: {Word(tau.image(v)).text}")
+        lines.append(f"read {v}: {_spell(tau.image(v), tau.alphabet)}")
     return lines
 
 
@@ -234,7 +234,7 @@ def _cmd_recognize(s, args):
         word = grown
     center = len(word) // 2
     window = word[center - args.radius:center + args.radius + 1]
-    lines = [f"window: {Word(window).text}"]
+    lines = [f"window: {_spell(window, s.alphabet)}"]
     result = recognize_window(s, window, args.depth)
     if isinstance(result, AmbiguityReport):
         lines.append(f"verdict: ambiguous at level {result.level}")

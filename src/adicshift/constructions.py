@@ -2,8 +2,10 @@
 
 Route one (marked-word nesting) works for substitutions whose long-letter
 images all start (or all end) with long letters: the vertices are dotted
-words of shape long/shorts/long/shorts/long, and the read rule tracks how
-the expanded middle block of one marked word sweeps across its neighbours.
+words of shape long/shorts/long/shorts/long, and the read rule expands a
+marked word and reads off the marked word centred on each long letter of
+its counted block's image; the starts-long and ends-long readings differ
+only in where the cut and the counted block sit.
 
 Route two (return words) induces the system on the two-letter junction
 markers of its minimal components: the vertices are return-word indices,
@@ -39,6 +41,7 @@ from .words import (
     _cycle,
     _reach,
     _shortlex,
+    _spell,
     _window_closure,
     _windows,
     classify_letters,
@@ -51,7 +54,7 @@ from .words import (
 # marked words
 
 
-@record(frozen=True)
+@record
 class MarkedWord:
     """A language word of shape (long)(shorts)(long)(shorts)(long), with a
     cut after the first long-with-shorts block (starts-long reading) or right
@@ -94,11 +97,14 @@ class MarkedWord:
         return len(self.counted_block)
 
 
-def _marked_from_letters(w, long_set, starts_long) -> MarkedWord:
-    # w holds exactly three long letters, one at each end
-    i, j, k = (t for t, a in enumerate(w) if a in long_set)
-    return MarkedWord(w[i], tuple(w[i + 1:j]), w[j], tuple(w[j + 1:k]),
-                      w[k], starts_long)
+def _long_triples(w, long_set, starts_long, lo=0, hi=None) -> list[MarkedWord]:
+    """The marked words of `w` around each long letter at a position in
+    [lo, hi) that has a long letter on both sides in `w`: those two long
+    letters and the short blocks in between."""
+    at = [i for i, a in enumerate(w) if a in long_set]
+    hi = len(w) if hi is None else hi
+    return [MarkedWord(w[i], w[i + 1:j], w[j], w[j + 1:k], w[k], starts_long)
+            for i, j, k in zip(at, at[1:], at[2:]) if lo <= j < hi]
 
 
 def nesting_vocabulary(s: Substitution) -> list[MarkedWord]:
@@ -125,65 +131,25 @@ def nesting_vocabulary(s: Substitution) -> list[MarkedWord]:
     kept = (w for w in factor_language(s, 2 * bound + 1).encoded
             if w[0] in long_enc and w[-1] in long_enc
             and sum(c in long_enc for c in w) == 3)
-    return [_marked_from_letters(s.decode(w), long_set, starts_long)
-            for w in sorted(kept, key=_shortlex)]
-
-
-def _runs_start(s: Substitution, letters, long_set):
-    """Decompose an expansion into (long letter, trailing short block) runs.
-    Valid whenever the word starts with a long letter."""
-    runs: list[tuple[str, list[str]]] = []
-    for a in s.apply(letters):
-        if a in long_set:
-            runs.append((a, []))
-        else:
-            runs[-1][1].append(a)
-    return [(w, tuple(f)) for w, f in runs]
-
-
-def _runs_end(s: Substitution, letters, long_set):
-    """Decompose an expansion into (leading short block, long letter) runs.
-    Valid whenever the word ends with a long letter."""
-    runs = []
-    pending: list[str] = []
-    for a in s.apply(letters):
-        if a in long_set:
-            runs.append((tuple(pending), a))
-            pending = []
-        else:
-            pending.append(a)
-    return runs
+    # each kept word has one triple: the one around its middle long letter
+    return [mw for w in sorted(kept, key=_shortlex)
+            for mw in _long_triples(s.decode(w), long_set, starts_long)]
 
 
 def nesting_matching_rule(s: Substitution, mw: MarkedWord) -> list[MarkedWord]:
     """The ordered marked words whose towers the expansion of `mw` sweeps.
 
-    Expanding the three blocks of `mw` and re-reading the middle expansion
-    run by run, the j-th output pairs run j with its immediate neighbours:
-    the run before it (the last run of the first block when j = 1) and the
-    long letter after it (the first run of the third block at the end).
+    One marked word per long letter of sigma(counted block), read in
+    sigma(mw): the long letters before and after it and the short blocks
+    in between, cut on `mw`'s side.  In either reading the block is edged
+    by long letters whose images start (or end) long, so each such letter
+    has long neighbours in sigma(mw), and the outputs' counted blocks
+    concatenate to sigma(mw.counted_block).
     """
     long_set = set(classify_letters(s).long)
-    out = []
-    if mw.starts_long:
-        first = _runs_start(s, (mw.left,) + mw.left_shorts, long_set)
-        middle = _runs_start(s, (mw.middle,) + mw.middle_shorts, long_set)
-        last = _runs_start(s, (mw.right,), long_set)
-        prev = first[-1]
-        for j, cur in enumerate(middle):
-            nxt = middle[j + 1][0] if j + 1 < len(middle) else last[0][0]
-            out.append(MarkedWord(prev[0], prev[1], cur[0], cur[1], nxt, True))
-            prev = cur
-    else:
-        first = _runs_end(s, (mw.left,), long_set)
-        middle = _runs_end(s, mw.left_shorts + (mw.middle,), long_set)
-        last = _runs_end(s, mw.middle_shorts + (mw.right,), long_set)
-        prev = first[-1][1]
-        for j, (gap, letter) in enumerate(middle):
-            ngap, nletter = middle[j + 1] if j + 1 < len(middle) else last[0]
-            out.append(MarkedWord(prev, gap, letter, ngap, nletter, False))
-            prev = letter
-    return out
+    lo = sum(len(s.image(a)) for a in mw.letters[:mw.cut])
+    hi = lo + sum(len(s.image(a)) for a in mw.counted_block)
+    return _long_triples(s.apply(mw.letters), long_set, mw.starts_long, lo, hi)
 
 
 def nesting_diagram(s: Substitution) -> StationaryOrderedDiagram:
@@ -202,7 +168,7 @@ def nesting_diagram(s: Substitution) -> StationaryOrderedDiagram:
 # multi-edge encoding
 
 
-@record(frozen=True)
+@record
 class EncodedSystem:
     """Letters (a, i), one per top edge into a, with the rule that expands
     block i of a's read image; the i-blocks concatenate back to the full
@@ -270,7 +236,7 @@ def multi_edge_encoding(d: StationaryOrderedDiagram) -> EncodedSystem:
 # minimal components
 
 
-@record(frozen=True)
+@record
 class MinimalComponent:
     """Seeds whose one-sided fixed points share a factor set (at the given
     scale), plus the canonical junction pair: a letter whose expansions end
@@ -374,7 +340,7 @@ def minimal_components(s: Substitution, scale: int = 8):
 # return words and the derivative substitution
 
 
-@record(frozen=True)
+@record
 class ReturnWordSystem:
     """The census of blocks between consecutive junction markers.
 
@@ -399,7 +365,8 @@ class ReturnWordSystem:
         return tuple(a for i in indices for a in self.phi(i))
 
     def word_text(self, index: str) -> str:
-        return "".join(self.phi(index))
+        """The return word, spelled over the letters of the vocabulary."""
+        return _spell(self.phi(index), {a for w in self.vocabulary for a in w})
 
 
 # Return words grow on fronts sigma^(pn)(l), one sigma^p at a time; a front
@@ -490,12 +457,12 @@ def derivative_substitution(rs: ReturnWordSystem, s: Substitution) -> Substituti
 # properness and m-primitivity
 
 
-@record(frozen=True)
+@record
 class ProperWitness:
     power: int
 
 
-@record(frozen=True)
+@record
 class NotProperUpTo:
     searched: int
 
@@ -527,7 +494,7 @@ def is_proper(s: Substitution, p_max: int):
     return NotProperUpTo(p_max)
 
 
-@record(frozen=True)
+@record
 class MPrimitiveDecomposition:
     blocks: tuple[tuple[str, ...], ...]
     transient: tuple[str, ...]
@@ -538,7 +505,7 @@ class MPrimitiveDecomposition:
         return len(self.blocks)
 
 
-@record(frozen=True)
+@record
 class NotMPrimitive:
     reason: str
 

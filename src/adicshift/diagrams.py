@@ -45,7 +45,7 @@ TOP = "top"
 MAX_ENUMERATED_PATHS = 100_000
 
 
-@record(frozen=True)
+@record
 class OrderedDiagram:
     """levels[0] is the top; incoming[k][j] lists, in edge order, the
     level-(k-1) source labels of the j-th vertex of level k."""
@@ -77,7 +77,7 @@ class OrderedDiagram:
                 f"no vertex {vertex!r} at level {level}") from None
 
 
-@record(frozen=True)
+@record
 class StationaryOrderedDiagram:
     """One repeating level: read_images[j] is the ordered source word of
     alphabet[j] at every level >= 2; top_counts[j] is its number of edges
@@ -187,7 +187,7 @@ def validate(d: OrderedDiagram) -> list[str]:
 # paths
 
 
-@record(frozen=True)
+@record
 class FinitePath:
     """A path from the top: indices[k-1] is the order position of the level-k
     edge among the incoming edges of the level-k vertex on the path."""
@@ -287,7 +287,7 @@ def _successors(d, p: FinitePath, chain: list | None = None):
 # extremal paths of stationary diagrams
 
 
-@record(frozen=True)
+@record
 class PeriodicLabels:
     """A purely periodic vertex-label sequence: label at level n is
     period[(n - 1) % len(period)]."""
@@ -298,7 +298,7 @@ class PeriodicLabels:
         return self.period[(n - 1) % len(self.period)]
 
 
-@record(frozen=True)
+@record
 class ExtremalPaths:
     minimal: tuple[PeriodicLabels, ...]
     maximal: tuple[PeriodicLabels, ...]

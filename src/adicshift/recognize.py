@@ -28,7 +28,7 @@ from .words import (
 # tilings
 
 
-@record(frozen=True)
+@record
 class Tiling:
     """One way to cover a window with images sigma(a).
 
@@ -226,7 +226,7 @@ def one_word_tilings(s: Substitution, window, interior_only: bool = False):
 # recognizability
 
 
-@record(frozen=True)
+@record
 class ChainLevel:
     """One desubstitution level: `parent` is the agreed word of level tiles
     meeting the clipped interior; `bounds` gives each tile boundary in base
@@ -241,7 +241,7 @@ class ChainLevel:
         return self.bounds[0]
 
 
-@record(frozen=True)
+@record
 class ParseChain:
     base: tuple[str, ...]
     levels: tuple[ChainLevel, ...]
@@ -251,7 +251,7 @@ class ParseChain:
         return (self.base,) + tuple(l.parent for l in self.levels)
 
 
-@record(frozen=True)
+@record
 class AmbiguityReport:
     """The surviving parse chains disagree on the interior (or none exist):
     evidence of periodicity or an insufficient radius."""

@@ -29,7 +29,7 @@ from .words import Substitution, expand
 # symbols
 
 
-@record(frozen=True)
+@record
 class JSymbol:
     """Finite box matrix of one tower: rows[i] lists (label, width) boxes,
     row `level` is the single base box, row 0 has unit boxes only."""
@@ -148,7 +148,7 @@ def _tower_heights(d: StationaryOrderedDiagram, up_to: int):
 # windows
 
 
-@record(frozen=True)
+@record
 class JSequenceWindow:
     """A finite clip of stacked box rows on a common coordinate span.
 
@@ -331,7 +331,7 @@ class _TowerSlice:
 # depth and cuts
 
 
-@record(frozen=True)
+@record
 class DepthReport:
     """depth: highest row on which the two windows fully agree (-1 when
     even row 0 differs); common_cuts[i]: positions where both windows have
@@ -362,7 +362,7 @@ def depth_and_cuts(w1: JSequenceWindow, w2: JSequenceWindow) -> DepthReport:
 # eventual periodicity
 
 
-@record(frozen=True)
+@record
 class EventualPeriod:
     start: int
     period: int
@@ -385,7 +385,7 @@ def eventually_periodic_check(row, n0: int, m_max: int):
 # expansiveness witness search
 
 
-@record(frozen=True)
+@record
 class CompatibleWitness:
     """Two distinct finite paths whose windows agree on all rows <= depth."""
     left: FinitePath
@@ -397,7 +397,7 @@ class CompatibleWitness:
     examined: int
 
 
-@record(frozen=True)
+@record
 class NoneWithinBudget:
     budget: int
     examined: int

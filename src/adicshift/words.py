@@ -24,7 +24,7 @@ from .errors import AlphabetError, GrammarError
 # substitutions
 
 
-@record(frozen=True)
+@record
 class Substitution:
     """A map letter -> nonempty word, with a fixed alphabet order.
 
@@ -88,7 +88,7 @@ class Substitution:
     def rule_text(self) -> str:
         """Render back into the rule-file grammar (used by reports)."""
         return "\n".join(
-            f"{a} -> {Word(img).text}"
+            f"{a} -> {_spell(img, self.alphabet)}"
             for a, img in zip(self.alphabet, self.images))
 
     # -- internal single-character codec ------------------------------------
@@ -158,7 +158,7 @@ def parse_substitution(text: str) -> Substitution:
 # words
 
 
-@record(frozen=True)
+@record
 class Word:
     """A finite word with an optional marker (a cut position in [0, len]),
     splitting negative from non-negative coordinates."""
@@ -175,21 +175,22 @@ class Word:
         return len(self.letters)
 
     @property
-    def _sep(self) -> str:
-        return "" if all(len(a) == 1 for a in self.letters) else " "
-
-    @property
     def text(self) -> str:
-        """The letters, joined bare when each is one character."""
-        return self._sep.join(self.letters)
+        """The letters, spelled over the word's own letters."""
+        return _spell(self.letters, self.letters)
 
     def __str__(self):
         if self.marker is None:
             return self.text
-        sep = self._sep
-        left = sep.join(self.letters[:self.marker])
-        right = sep.join(self.letters[self.marker:])
-        return f"{left}.{right}"
+        left, right = self.letters[:self.marker], self.letters[self.marker:]
+        return f"{_spell(left, self.letters)}.{_spell(right, self.letters)}"
+
+
+def _spell(letters, alphabet) -> str:
+    """The one spelling of words over `alphabet`: the letters joined bare
+    when every label of the alphabet is one character, and with spaces
+    otherwise, so that no two words over one alphabet print alike."""
+    return ("" if all(len(a) == 1 for a in alphabet) else " ").join(letters)
 
 
 def as_letters(s: Substitution, w) -> tuple[str, ...]:
@@ -292,7 +293,7 @@ def _cycle(step, a):
 # long/short classification
 
 
-@record(frozen=True)
+@record
 class LetterClassification:
     long: tuple[str, ...]
     short: tuple[str, ...]
@@ -315,7 +316,7 @@ def classify_letters(s: Substitution) -> LetterClassification:
 # factor language
 
 
-@record(frozen=True)
+@record
 class FactorLanguage:
     """All factors of the iterates sigma^n(a), n >= 1, up to length cap.
 
@@ -455,7 +456,7 @@ def nesting_class(s: Substitution) -> NestingClass:
     return NestingClass.NONE
 
 
-@record(frozen=True)
+@record
 class Unbounded:
     """All-short factors kept growing past the search cap -- evidence against
     aperiodicity, and a bound M does not exist at this scale."""
@@ -482,7 +483,7 @@ def short_block_bound(s: Substitution, cap: int = 16):
     return longest + 1
 
 
-@record(frozen=True)
+@record
 class NoneUpToBounds:
     """No periodic witness within the bounds; a semi-decision, not a proof."""
     max_len: int

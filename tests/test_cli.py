@@ -192,6 +192,20 @@ def test_build_diagram_report_for_both_methods(capsys, chacon_file):
     assert "reads 4: 124412" in deriv
 
 
+@pytest.mark.parametrize("argv, line", [
+    (("build-diagram",), "reads 1: 1 2"),
+    (("read",), "read 1: 1 2"),
+    (("derive", "--cap", "16"), "tau 1: 1 2"),
+])
+def test_derived_alphabet_of_ten_letters_spells_with_spaces(capsys, tmp_path,
+                                                            argv, line):
+    # 14 return words: "12" would read as one vertex label
+    path = tmp_path / "panel5.sub"
+    path.write_text("a -> abbab\nb -> caccb\nc -> basca\ns -> s\n")
+    code, out = invoke(capsys, *argv, "--sub", str(path))
+    assert code == 0 and line in out.splitlines()
+
+
 def test_vershik_steps_zero_reports_start_only(capsys, chacon_file):
     code, out = invoke(capsys, "vershik", "--sub", chacon_file,
                        "--steps", "0")

@@ -5,7 +5,7 @@ import random
 import time
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from adicshift import (
@@ -15,6 +15,7 @@ from adicshift import (
     MarkedWord,
     MinimalComponent,
     MPrimitiveDecomposition,
+    NestingClass,
     NoNesting,
     NotMPrimitive,
     NotProperUpTo,
@@ -32,6 +33,7 @@ from adicshift import (
     minimal_components,
     multi_edge_encoding,
     nesting_diagram,
+    nesting_class,
     nesting_matching_rule,
     nesting_vocabulary,
     parse_substitution,
@@ -131,6 +133,28 @@ def test_matching_rule_outputs_stay_in_vocabulary():
         labels = {mw.label for mw in nesting_vocabulary(s)}
         for mw in nesting_vocabulary(s):
             assert {out.label for out in nesting_matching_rule(s, mw)} <= labels
+
+
+@settings(max_examples=150, deadline=None)
+@given(substitutions())
+def test_matching_rule_reads_its_block_in_the_expanded_word(s):
+    assume(nesting_class(s) is not NestingClass.NONE)
+    try:
+        vocab = nesting_vocabulary(s)
+    except (NoNesting, UnboundedShorts):
+        assume(False)
+    for mw in vocab:
+        outs = nesting_matching_rule(s, mw)
+        image = expand(s, mw.letters, 1)
+        start = len(expand(s, mw.letters[:mw.cut], 1))
+        assert (sum((out.counted_block for out in outs), ())
+                == expand(s, mw.counted_block, 1))
+        for out in outs:
+            # out's counted block sits at `start`, right of out's own cut
+            at = start - out.cut
+            assert at >= 0 and out.letters == image[at:at + len(out.letters)]
+            assert out.starts_long == mw.starts_long and out in vocab
+            start += out.base_height
 
 
 def test_ends_long_construction():
@@ -302,6 +326,16 @@ def test_return_words_chacon():
     assert ["".join(w) for w in rs.vocabulary] == ["0", "0s0", "0s0s0", "0110"]
     assert rs.indices == ("1", "2", "3", "4")
     assert rs.word_text("3") == "0s0s0"
+
+
+def test_return_words_over_long_labels_spell_apart():
+    # bare, ('a','ab','ab','a') and ('a','ab','a','b','a') both read aababa
+    s = Substitution(("a", "ab", "b"),
+                     (("a", "ab"), ("ab", "a"), ("a", "b", "a")))
+    rs = return_words(s, 12)
+    texts = [rs.word_text(i) for i in rs.indices]
+    assert "a ab a b a" in texts and len(set(texts)) == len(texts)
+    assert s.rule_text().splitlines()[2] == "b -> a b a"
 
 
 def test_return_words_scale_too_small():
