@@ -45,6 +45,7 @@ from .words import (
     _window_closure,
     _windows,
     classify_letters,
+    expansion_lengths,
     factor_language,
     nesting_class,
     short_block_bound,
@@ -156,12 +157,11 @@ def nesting_diagram(s: Substitution) -> StationaryOrderedDiagram:
     """Stationary diagram on the marked-word vocabulary: read rule from the
     matching rule, top multiplicity = base tower height."""
     vocab = nesting_vocabulary(s)
-    labels = tuple(mw.label for mw in vocab)
-    images = tuple(
-        tuple(out.label for out in nesting_matching_rule(s, mw))
-        for mw in vocab)
+    label = {mw: mw.label for mw in vocab}
+    images = tuple(tuple(map(label.__getitem__, nesting_matching_rule(s, mw)))
+                   for mw in vocab)
     counts = tuple(mw.base_height for mw in vocab)
-    return StationaryOrderedDiagram(labels, images, counts)
+    return StationaryOrderedDiagram(tuple(label.values()), images, counts)
 
 
 # ---------------------------------------------------------------------------
@@ -375,18 +375,23 @@ class ReturnWordSystem:
 _FRONT_BUDGET = 1 << 22
 
 
+def _check_front(letters: int):
+    if letters > _FRONT_BUDGET:
+        raise ScaleTooSmall(f"a front would pass {_FRONT_BUDGET} "
+                            "letters before its return words closed")
+
+
 def _front_tools(s: Substitution, pairs, power: int):
-    """sigma^power on encoded words, refusing a result longer than
-    _FRONT_BUDGET letters, and the split of an encoded word between the two
-    letters of every junction marker (re.split at zero-width matches)."""
-    enc, table = s._enc, s.power(power)._table
+    """sigma^power on encoded words, one sigma at a time, refusing a result
+    longer than _FRONT_BUDGET letters, and the split of an encoded word
+    between the two letters of every junction marker (re.split)."""
+    enc, lengths = s._enc, expansion_lengths(s, power)
 
     def grow(word: str) -> str:
-        if sum(word.count(chr(c)) * len(img)
-               for c, img in table.items()) > _FRONT_BUDGET:
-            raise ScaleTooSmall(f"a front would pass {_FRONT_BUDGET} "
-                                "letters before its return words closed")
-        return word.translate(table)
+        _check_front(sum(word.count(enc[a]) * n for a, n in lengths.items()))
+        for _ in range(power):
+            word = word.translate(s._table)
+        return word
     return grow, re.compile("|".join(
         f"(?<={enc[r]})(?={enc[l]})" for r, l in pairs)).split
 
@@ -395,15 +400,20 @@ def return_words(s: Substitution, scale: int) -> ReturnWordSystem:
     """The return words of the junction markers of the census at `scale`.
     The fronts sigma^(pn)(l) grow one round at a time until sigma^p of each
     word found splits into words found; a block longer than `scale`, or a
-    front past _FRONT_BUDGET letters, raises ScaleTooSmall.  Order: first
-    occurrence along the fronts, then the words of the language up to
-    `scale` never seen there (transient strands), length-lexicographic."""
+    front past _FRONT_BUDGET letters (checked on lengths: no front is
+    built), raises ScaleTooSmall.  Order: first occurrence along the
+    fronts, then the words of the language up to `scale` never seen there
+    (transient strands), length-lexicographic."""
     return _return_words(s, minimal_components(s, scale=scale), scale)
 
 
 def _return_words(s: Substitution, comps, scale: int | None):
     """return_words on a given census; with scale None, blocks are not
-    bounded and transient words are scanned up to max(8, longest word)."""
+    bounded and transient words are scanned up to max(8, longest word).
+    A front is its distinct blocks, first occurrence first, and its tail
+    after the last junction.  sigma^p(r) ends in r and sigma^p(l) starts
+    with l, so the next blocks are the pieces of sigma^p(w), block w in
+    order, and those of sigma^p(tail) but the last: the next tail."""
     if not comps:
         raise DecompositionFailure("no one-letter fixed seeds: nothing recurs")
     for c in comps:
@@ -413,21 +423,27 @@ def _return_words(s: Substitution, comps, scale: int | None):
     pairs = tuple(c.pair for c in comps)
     power = lcm(*(c.period for c in comps))
     enc, (grow, split) = s._enc, _front_tools(s, pairs, power)
+    # the pieces of sigma^p(w), once per word w
+    cut = lru_cache(maxsize=None)(lambda w: split(grow(w)))
 
     vocabulary: dict[str, None] = {}   # insertion-ordered set, encoded
-    fronts, closed = [enc[l] for _, l in pairs], False
+    fronts, closed, n = [((), enc[l]) for _, l in pairs], False, 0
     while not closed:
-        fronts = list(map(grow, fronts))
-        blocks = [split(front)[:-1] for front in fronts]
-        for block in itertools.chain(*blocks):
+        n += power   # the fronts grow to sigma^n(l)
+        _check_front(max(expansion_lengths(s, n)[l] for _, l in pairs))
+        for i, (blocks, tail) in enumerate(fronts):
+            *last, tail = split(grow(tail))
+            fronts[i] = (dict.fromkeys(itertools.chain(*map(cut, blocks),
+                                                       last)), tail)
+        for block in itertools.chain(*(blocks for blocks, _ in fronts)):
             if scale is not None and len(block) > scale:
                 raise ScaleTooSmall(
                     f"marker gap of {len(block)} exceeds scale {scale}")
             vocabulary.setdefault(block)
         # once each front holds a block, the words closed under sigma^p
         # are all the return words of the fronts' limits
-        closed = all(blocks) and all(seg in vocabulary for w in vocabulary
-                                     for seg in split(grow(w)))
+        closed = all(blocks for blocks, _ in fronts) and all(
+            seg in vocabulary for w in vocabulary for seg in cut(w))
     if scale is None:
         scale = max(8, *map(len, vocabulary))
 

@@ -299,6 +299,7 @@ class LetterClassification:
     short: tuple[str, ...]
 
 
+@lru_cache(maxsize=256)
 def classify_letters(s: Substitution) -> LetterClassification:
     """Graph criterion: a letter is long iff it reaches, in the occurrence
     digraph (edge c -> b when b occurs in sigma(c)), some letter that lies on
@@ -466,21 +467,24 @@ class Unbounded:
 def short_block_bound(s: Substitution, cap: int = 16):
     """Least M such that every factor of length M contains a long letter.
 
-    Returns M when the longest all-short factor found has length < cap
-    (then no longer one exists: it would appear within the cap), otherwise
-    Unbounded(cap).
+    Asks the factor language at caps c = 2, 4, 8, ..., the last one cap,
+    and returns M at the first c whose longest all-short factor is shorter
+    than c (the language is closed under factors, so no longer one
+    exists); Unbounded(cap) when an all-short factor reaches length cap.
     """
     if cap < 2:
         raise ValueError("cap must be >= 2")
     short = set(s.encode(classify_letters(s).short))
     if not short:
         return 1
-    lang = factor_language(s, cap)
-    longest = max(
-        (len(w) for w in lang.encoded if set(w) <= short), default=0)
-    if longest >= cap:
-        return Unbounded(cap)
-    return longest + 1
+    c = 1
+    while c < cap:
+        c = min(2 * c, cap)
+        longest = max((len(w) for w in factor_language(s, c).encoded
+                       if set(w) <= short), default=0)
+        if longest < c:
+            return longest + 1
+    return Unbounded(cap)
 
 
 @record

@@ -7,15 +7,21 @@ these functions.
 """
 
 import itertools
-from math import isqrt
+import re
+from math import isqrt, lcm
 
 import numpy as np
 
-from adicshift import (TOP, CompatibleWitness, CoreCheck, FinitePath,
-                       ImproperOrdering, JSequenceWindow, LambdaSeed,
-                       NoneWithinBudget, StationaryOrderedDiagram,
-                       Substitution, expand, factor_language, norms,
-                       one_word_tilings, shift_down_path)
+from adicshift import (TOP, CompatibleWitness, CoreCheck,
+                       DecompositionFailure, FinitePath, ImproperOrdering,
+                       JSequenceWindow, LambdaSeed, NoneWithinBudget,
+                       ReturnWordSystem, ScaleTooSmall,
+                       StationaryOrderedDiagram, Substitution, Unbounded,
+                       classify_letters, expand, expansion_lengths,
+                       factor_language, norms, one_word_tilings,
+                       shift_down_path)
+from adicshift.constructions import _FRONT_BUDGET
+from adicshift.words import _window_closure
 
 
 def naive_factors(s, cap, depth):
@@ -450,3 +456,64 @@ def pairwise_witness_search(d, i, radius, budget):
                                              depth, radius, "shift-down",
                                              examined)
     return NoneWithinBudget(budget, examined, radius)
+
+
+def full_cap_short_block_bound(s, cap):
+    """The short-block bound from the whole factor language at cap: one
+    more than the longest all-short factor, or Unbounded(cap) when an
+    all-short factor reaches the cap."""
+    short = set(classify_letters(s).short)
+    if not short:
+        return 1
+    longest = max((len(w) for w in factor_language(s, cap).factors
+                   if set(w) <= short), default=0)
+    return Unbounded(cap) if longest >= cap else longest + 1
+
+
+def whole_front_return_words(s, comps, scale):
+    """Return words grown on whole fronts: each round applies sigma^p to
+    every front sigma^(pn)(l) in full, takes all its blocks between
+    junctions, and stops once sigma^p of every word found splits into
+    words found; then adds, length-lexicographic, the blocks between two
+    junctions inside the language windows of length scale + 2 (scale None:
+    max(8, longest word))."""
+    if not comps:
+        raise DecompositionFailure("no one-letter fixed seeds: nothing recurs")
+    for c in comps:
+        if c.pair is None:
+            raise DecompositionFailure(
+                f"component seeded by {c.seeds[0]!r} has no junction pair")
+    pairs = tuple(c.pair for c in comps)
+    power = lcm(*(c.period for c in comps))
+    lengths = expansion_lengths(s, power)
+    split = re.compile("|".join(f"(?<={s.encode((r,))})(?={s.encode((l,))})"
+                                for r, l in pairs)).split
+
+    def grow(word):
+        if sum(word.count(s.encode((a,))) * n
+               for a, n in lengths.items()) > _FRONT_BUDGET:
+            raise ScaleTooSmall(f"a front would pass {_FRONT_BUDGET} "
+                                "letters before its return words closed")
+        for _ in range(power):
+            word = word.translate(s._table)
+        return word
+
+    vocabulary = {}
+    fronts, closed = [s.encode((l,)) for _, l in pairs], False
+    while not closed:
+        fronts = [grow(front) for front in fronts]
+        blocks = [split(front)[:-1] for front in fronts]
+        for block in itertools.chain(*blocks):
+            if scale is not None and len(block) > scale:
+                raise ScaleTooSmall(
+                    f"marker gap of {len(block)} exceeds scale {scale}")
+            vocabulary.setdefault(block)
+        closed = all(blocks) and all(seg in vocabulary for w in vocabulary
+                                     for seg in split(grow(w)))
+    if scale is None:
+        scale = max(8, *map(len, vocabulary))
+    found = {w for x in _window_closure(s, s._images_enc, scale + 2)
+             for w in split(x)[1:-1]}
+    vocabulary.update(dict.fromkeys(sorted(found,
+                                           key=lambda w: (len(w), w))))
+    return ReturnWordSystem(pairs, power, tuple(map(s.decode, vocabulary)))

@@ -30,6 +30,20 @@ def substitutions(draw, max_letters=5, max_image=5):
 
 
 @st.composite
+def with_short_letters(draw, max_long=3, max_image=5):
+    """Random substitution on long-letter names 'a', 'b', ... plus short
+    letters that the images may use: s -> s, or s -> t; t -> s."""
+    shorts = draw(st.sampled_from((("s",), ("s", "t"))))
+    alphabet = tuple(LETTERS[:draw(st.integers(1, max_long))]) + shorts
+    images = tuple(
+        tuple(draw(st.lists(st.sampled_from(alphabet), min_size=1,
+                            max_size=max_image)))
+        for _ in alphabet[:-len(shorts)])
+    return Substitution(alphabet, images + tuple(
+        (b,) for b in shorts[1:] + shorts[:1]))
+
+
+@st.composite
 def chacon_like(draw):
     """Chacon-like substitution in the shape of perfbench's panel: s -> s
     plus two or three long letters whose images have 3 to 5 letters,

@@ -94,6 +94,28 @@ def test_fronts_that_never_close_exit_three(capsys, tmp_path):
     assert "error: a front would pass" in out
 
 
+CHACON_SUB = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench",
+                          "subs", "chacon.sub")
+
+
+@pytest.mark.parametrize("command", ["analyze", "classify"])
+def test_short_block_bound_at_a_large_cap_asks_only_small_caps(
+        capsys, monkeypatch, command):
+    # the bound 2 shows at cap 4, so the language at cap 400 is never built
+    import adicshift.words as words
+    caps, language = [], words.factor_language
+
+    def recorded(s, cap):
+        caps.append(cap)
+        return language(s, cap)
+
+    monkeypatch.setattr(words, "factor_language", recorded)
+    code, out = invoke(capsys, command, "--sub", CHACON_SUB, "--cap", "400")
+    assert code == 0
+    assert "short-block-bound: 2 (cap 400)" in out.splitlines()
+    assert caps and max(caps) <= 4
+
+
 @pytest.mark.parametrize("rules, first, stop", [
     ("s -> s\na -> as\n", "s", 1),
     ("a -> a\nb -> s\ns -> abs\n", "a", 1),

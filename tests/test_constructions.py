@@ -43,12 +43,14 @@ from adicshift import (
     vershik_orbit_coding,
     minimal_path,
 )
-from adicshift import factor_language, stationary_from_substitution, tower_rank
+from adicshift import (classify_letters, factor_language,
+                       stationary_from_substitution, tower_rank)
 import adicshift.constructions as constructions
 from adicshift.constructions import _grown_factors
 from adicshift.symbols import _tower_heights
 from adicshift.words import _downward
-from oracles import naive_seed_factors, phase_walk_factors, primitive_blocks
+from oracles import (naive_seed_factors, phase_walk_factors, primitive_blocks,
+                     whole_front_return_words)
 from strategies import (CHACON, DOUBLING, FIBONACCI, IDENTITY, THUE_MORSE as TM,
                         TWO_BLOCK, chacon_like, substitutions)
 
@@ -355,6 +357,24 @@ def test_return_words_against_sliding_oracle():
     assert observed == set(rs.vocabulary)
 
 
+def _outcome(build):
+    try:
+        return build()
+    except (DecompositionFailure, ScaleTooSmall) as e:
+        return type(e), str(e)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(chacon_like(), substitutions()))
+def test_return_words_match_whole_fronts(s):
+    # fronts kept as distinct blocks plus a tail, against fronts in full:
+    # the same vocabulary in the same order, or the same refusal
+    for scale in (None, 8, 16):
+        comps = minimal_components(s, 8 if scale is None else scale)
+        assert (_outcome(lambda: constructions._return_words(s, comps, scale))
+                == _outcome(lambda: whole_front_return_words(s, comps, scale)))
+
+
 def test_derivative_chacon_table():
     rs = return_words(CHACON, 8)
     tau = derivative_substitution(rs, CHACON)
@@ -556,7 +576,7 @@ def test_derivative_route_matches_return_words(s):
 def test_caches_stay_bounded_over_many_substitutions():
     rng = random.Random(300)
     caches = (factor_language, _grown_factors, diagram_via_derivative,
-              _tower_heights)
+              _tower_heights, classify_letters)
     for n in range(300):
         # two fresh letter names per system, so every call is a new key
         a, b = f"a{n}", f"b{n}"

@@ -30,9 +30,11 @@ from adicshift import (
     sorted_words,
 )
 from adicshift.words import _downward, _shortlex
-from oracles import (cubic_downward, cycling_factor_language, is_primitive,
+from oracles import (cubic_downward, cycling_factor_language,
+                     full_cap_short_block_bound, is_primitive,
                      naive_factors, naive_incidence_power)
-from strategies import CHACON, DOUBLING, FIBONACCI, IDENTITY, THUE_MORSE, substitutions
+from strategies import (CHACON, DOUBLING, FIBONACCI, IDENTITY, THUE_MORSE,
+                        substitutions, with_short_letters)
 
 # ---------------------------------------------------------------------------
 # parsing
@@ -418,6 +420,14 @@ def test_short_block_bound_invariant(s):
     short = set(classify_letters(s).short)
     lang = factor_language(s, max(m, 1))
     assert not [w for w in lang.factors if len(w) == m and set(w) <= short]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(substitutions(), with_short_letters()))
+def test_short_block_bound_matches_full_cap_scan(s):
+    # the doubling caps stop early; the whole language at cap must agree
+    for cap in (2, 3, 5, 16, 17):
+        assert short_block_bound(s, cap) == full_cap_short_block_bound(s, cap)
 
 
 # ---------------------------------------------------------------------------
