@@ -252,14 +252,15 @@ class MinimalComponent:
 @lru_cache(maxsize=256)
 def _grown_factors(s: Substitution, seed: tuple[str, ...], cap: int,
                    steps: int = 1):
-    """The factors (length <= cap) of every steps-fold iterate of `seed`,
-    the seed word itself included, encoded, kept as their maximal members
-    (which determine them; _within compares) from one _window_closure: it
-    steps through sigma one application at a time and collects every
-    steps-th generation, so sigma^steps is never materialised."""
-    windows = _window_closure(s, (s.encode(seed),), cap, steps)
-    return frozenset(w for w in windows if len(w) == cap
-                     or not any(w in x for x in windows if len(x) > len(w)))
+    """Per phase k < steps, the factors (length <= cap) of the iterates
+    sigma^(steps * n + k)(seed), the seed word itself in phase 0, encoded,
+    kept as their maximal members (which determine them; _within compares)
+    from one _window_closure: it steps through sigma one application at a
+    time, so sigma^steps is never materialised."""
+    return tuple(
+        frozenset(w for w in windows if len(w) == cap
+                  or not any(w in x for x in windows if len(x) > len(w)))
+        for windows in _window_closure(s, (s.encode(seed),), cap, steps))
 
 
 def _within(words, windows) -> bool:
@@ -293,31 +294,33 @@ def minimal_components(s: Substitution, scale: int = 8):
     """Scale-bounded component census from one-letter fixed seeds.
 
     Seeds are the long letters lying on a cycle of the first-letter map (so
-    some expansion power starts with the seed again).  A seed's factor set,
-    _grown_factors stepping by its cycle length, costs about its number of
-    distinct scale-length windows.  Seeds with equal factor sets share a
-    component; a seed whose factor set strictly contains another's is
-    discarded, since its limit point already accumulates on the smaller
-    system.  Within each component the junction pair is the
-    lexicographically least (left, right) marker pair whose glued point
-    stays inside the component.
+    some expansion power starts with the seed again).  One _grown_factors
+    per cycle (a, f(a), ...) of length p, stepping by p, costs about its
+    distinct scale-length windows: sigma^k of a's sigma^p-fixed point is
+    f^k(a)'s, so phase k is f^k(a)'s factor set, also when stepping by a
+    multiple of p.  Seeds with equal factor sets share a component; a seed
+    whose factor set strictly contains another's is discarded, since its
+    limit point already accumulates on the smaller system.  Within each
+    component the junction pair is the lexicographically least (left,
+    right) marker pair whose glued point stays inside the component.
     """
     long = classify_letters(s).long
     first = {a: s.image(a)[0] for a in s.alphabet}
     last = {a: s.image(a)[-1] for a in s.alphabet}
 
-    # (letter, length of its cycle under the first-letter map)
-    seeds = [(a, len(c)) for a in long if (c := _cycle(first, a))]
-    if not seeds:
+    # each seed's cycle under the first-letter map, starting at the seed
+    cycles = {a: c for a in long if (c := _cycle(first, a))}
+    if not cycles:
         return ()
 
-    fact = {a: _grown_factors(s, (a,), scale, p) for a, p in seeds}
+    fact = {b: f for a, c in cycles.items() if a == min(c, key=s._index.get)
+            for b, f in zip(c, _grown_factors(s, (a,), scale, len(c)))}
 
-    groups: dict[frozenset, list[tuple[str, int]]] = {}
-    for a, p in seeds:
+    groups: dict[frozenset, list[str]] = {}
+    for a in cycles:
         if not any(fact[a] != fact[b] and _within(fact[b], fact[a])
-                   for b, _ in seeds):
-            groups.setdefault(fact[a], []).append((a, p))
+                   for b in cycles):
+            groups.setdefault(fact[a], []).append(a)
 
     left_candidates = [(a, len(c)) for a in long if (c := _cycle(last, a))]
 
@@ -325,14 +328,17 @@ def minimal_components(s: Substitution, scale: int = 8):
     for factors, g in groups.items():
         # both lists run in alphabet order, so the first fit is the least
         best = None, None
-        for (r, pr), (l, pl) in itertools.product(left_candidates, g):
-            p = lcm(pr, pl)
+        for (r, pr), l in itertools.product(left_candidates, g):
+            p = lcm(pr, len(cycles[l]))
             if (_within((s.encode((r, l)),), factors)
-                    and _within(_grown_factors(s, (r,), scale, p), factors)
+                    and _within(fact[r] if r in cycles
+                                and p % len(cycles[r]) == 0
+                                else _grown_factors(s, (r,), scale, p)[0],
+                                factors)
                     and _junction_ok(s, p, r, l, factors, scale)):
                 best = (r, l), p
                 break
-        out.append(MinimalComponent(tuple(a for a, _ in g), *best, scale))
+        out.append(MinimalComponent(tuple(g), *best, scale))
     return tuple(out)
 
 
@@ -404,16 +410,17 @@ def return_words(s: Substitution, scale: int) -> ReturnWordSystem:
     built), raises ScaleTooSmall.  Order: first occurrence along the
     fronts, then the words of the language up to `scale` never seen there
     (transient strands), length-lexicographic."""
-    return _return_words(s, minimal_components(s, scale=scale), scale)
+    return _return_words(s, minimal_components(s, scale=scale), scale)[0]
 
 
 def _return_words(s: Substitution, comps, scale: int | None):
-    """return_words on a given census; with scale None, blocks are not
-    bounded and transient words are scanned up to max(8, longest word).
-    A front is its distinct blocks, first occurrence first, and its tail
-    after the last junction.  sigma^p(r) ends in r and sigma^p(l) starts
-    with l, so the next blocks are the pieces of sigma^p(w), block w in
-    order, and those of sigma^p(tail) but the last: the next tail."""
+    """return_words on a given census, and its cut: w -> the pieces of
+    sigma^p(w), cached.  With scale None, blocks are unbounded and transient
+    words are scanned up to max(8, longest word).  A front is its distinct
+    blocks, first occurrence first, and its tail after the last junction:
+    sigma^p(r) ends in r and sigma^p(l) starts with l, so the next blocks
+    are the pieces of sigma^p(w), w in order, and of sigma^p(tail) but the
+    last, the next tail."""
     if not comps:
         raise DecompositionFailure("no one-letter fixed seeds: nothing recurs")
     for c in comps:
@@ -448,18 +455,24 @@ def _return_words(s: Substitution, comps, scale: int | None):
         scale = max(8, *map(len, vocabulary))
 
     # a return word and its two marker letters lie in a (scale + 2)-window
-    found = {w for x in _window_closure(s, s._images_enc, scale + 2)
+    found = {w for x in _window_closure(s, s._images_enc, scale + 2)[0]
              for w in split(x)[1:-1]}
     vocabulary.update(dict.fromkeys(sorted(found, key=_shortlex)))
-    return ReturnWordSystem(pairs, power, tuple(map(s.decode, vocabulary)))
+    return (ReturnWordSystem(pairs, power, tuple(map(s.decode, vocabulary))),
+            cut)
 
 
 def derivative_substitution(rs: ReturnWordSystem, s: Substitution) -> Substitution:
     """The induced rule on return-word indices: expand each return word one
     step and split along the marker cuts (the split is forced, hence unique)."""
-    lookup = {s.encode(w): idx for idx, w in zip(rs.indices, rs.vocabulary)}
     grow, split = _front_tools(s, rs.pairs, rs.power)
-    images = [split(grow(w)) for w in lookup]
+    return _derivative(rs, s, lambda w: split(grow(w)))
+
+
+def _derivative(rs: ReturnWordSystem, s: Substitution, cut) -> Substitution:
+    """derivative_substitution with the pieces of sigma^p(w) from `cut`."""
+    lookup = {s.encode(w): idx for idx, w in zip(rs.indices, rs.vocabulary)}
+    images = list(map(cut, lookup))
     for seg in itertools.chain(*images):
         if seg not in lookup:
             raise DecompositionFailure(
@@ -594,8 +607,8 @@ def diagram_via_derivative(s: Substitution) -> StationaryOrderedDiagram:
     no bound on their length, and transient words are scanned up to
     max(8, longest return word).  Fronts that never close raise
     ScaleTooSmall."""
-    rs = _return_words(s, minimal_components(s), None)
-    tau = derivative_substitution(rs, s)
+    rs, cut = _return_words(s, minimal_components(s), None)
+    tau = _derivative(rs, s, cut)
     verdict = is_proper(tau, 8)
     if isinstance(verdict, NotProperUpTo):
         raise DiagramError(

@@ -254,21 +254,31 @@ def vershik_successor(d, p: FinitePath):
     """The next path in lexicographic order among paths to p's terminal:
     increment the first non-maximal edge, reset the prefix to the minimal
     path into the new source.  Returns Maximal when every edge is maximal."""
-    return next(_successors(d, p), Maximal)
+    return next((FinitePath(p.level, p.terminal, tuple(indices))
+                 for indices in _successors(d, p)), Maximal)
+
+
+def _in_edge_maps(d, level: int) -> list[dict]:
+    """Entry k, 1 <= k <= level, maps level-k vertices to in-edge sources."""
+    if isinstance(d, StationaryOrderedDiagram):
+        top = {a: (TOP,) * c for a, c in zip(d.alphabet, d.top_counts)}
+        return [{}, top] + [dict(zip(d.alphabet, d.read_images))] * (level - 1)
+    return [dict(zip(*pair)) for pair in zip(d.levels, d.incoming)]
 
 
 def _successors(d, p: FinitePath, chain: list | None = None):
     """The paths after p into its terminal, in lexicographic order, up to
-    the maximal one.  The vertex chain is carried from step to step, so a
-    step reads and rewrites only the edges up to its carry: amortised O(1)
-    edges a step where vertices have two or more incoming edges.  A given
-    `chain` (p's, as a list) is rewritten in place to each path's chain."""
+    the maximal one, as one index list rewritten in place and yielded.  The
+    vertex chain is carried along, so a step rewrites only the edges up to
+    its carry: amortised O(1) edges a step where vertices have two or more
+    incoming edges.  A given `chain` (p's, as a list) is rewritten too."""
     indices = list(p.indices)
     if chain is None:
         chain = list(p.vertices(d))
+    edges_at = _in_edge_maps(d, p.level)
     while True:
         for k in range(1, p.level + 1):
-            edges = d.in_edges(k, chain[k])
+            edges = edges_at[k][chain[k]]
             if indices[k - 1] + 1 < len(edges):
                 break
         else:
@@ -279,8 +289,8 @@ def _successors(d, p: FinitePath, chain: list | None = None):
         for m in range(k - 1, 0, -1):
             chain[m] = source
             indices[m - 1] = 0
-            source = d.in_edges(m, source)[0]
-        yield FinitePath(p.level, p.terminal, tuple(indices))
+            source = edges_at[m][source][0]
+        yield indices
 
 
 # ---------------------------------------------------------------------------
@@ -380,8 +390,8 @@ def _min_continuation(d: StationaryOrderedDiagram, v: str):
 def vershik_orbit_coding(d, start: FinitePath, steps: int, level: int,
                          max_to_min=None) -> tuple[str, ...]:
     """Iterate the successor from `start` and record the level-`level`
-    vertex label at each of `steps` states, read off the vertex chain that
-    one successor walk carries (restarted after a deepening or a wrap).
+    vertex label at each of `steps` states, read off the vertex chain of
+    one record-free walk (a deepening or a wrap restarts it from a path).
 
     When the current truncation is all-maximal, a stationary diagram is
     deepened along the all-minimal continuation (the infinite path is only
@@ -398,23 +408,25 @@ def vershik_orbit_coding(d, start: FinitePath, steps: int, level: int,
         raise ValueError("coding level must be within the start path")
     stationary = isinstance(d, StationaryOrderedDiagram)
     current, chain = start, list(start.vertices(d))
-    walk = _successors(d, current, chain)
+    walk, indices = _successors(d, current, chain), start.indices
     out = []
     for _ in range(steps):
         out.append(chain[level])
-        nxt = next(walk, Maximal)
-        while nxt is Maximal:
+        nxt = next(walk, None)
+        while nxt is None:
             if not stationary:
                 raise ImproperOrdering(
                     "maximal truncation at full depth; the diagram gives no "
                     "continuation to extend along")
+            current = FinitePath(current.level, current.terminal,
+                                 tuple(indices))
             deepened = _deepen_maximal(d, current)
             current = deepened or _wrap_maximal(d, current, max_to_min)
             chain = list(current.vertices(d))
-            walk = _successors(d, current, chain)
+            walk, indices = _successors(d, current, chain), current.indices
             # a wrap lands on the next state; a deepening only extends it
-            nxt = current if deepened is None else next(walk, Maximal)
-        current = nxt
+            nxt = indices if deepened is None else next(walk, None)
+        indices = nxt
     return tuple(out)
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 from bisect import bisect_left, bisect_right
+from collections import Counter
 from functools import lru_cache
 from math import isqrt
 
@@ -19,6 +20,7 @@ from .diagrams import (
     TOP,
     FinitePath,
     StationaryOrderedDiagram,
+    _in_edge_maps,
     read_substitution,
 )
 from .errors import AlphabetError, SpanMismatch, SymbolTooLarge, WindowTooShort
@@ -131,17 +133,28 @@ def _level_words(s: Substitution, base: str, n: int, j: int) -> list[str]:
                          f"than {MAX_SYMBOL_CELLS} cells")
 
 
-@lru_cache(maxsize=256)
-def _tower_heights(d: StationaryOrderedDiagram, up_to: int):
-    """heights[k][v] = number of paths from the top into v at level k."""
-    heights = [{TOP: 1}]
-    if up_to >= 1:
-        heights.append({a: d.top_count(a) for a in d.alphabet})
-    for _ in range(2, up_to + 1):
-        prev = heights[-1]
-        heights.append(
-            {a: sum(prev[b] for b in d.read_image(a)) for a in d.alphabet})
-    return tuple(heights)
+class _TowerTable:
+    """One per diagram (_tower_heights): upto(level) grows and returns two
+    lists over levels 0..level, heights[k][v], the paths from the top into
+    v at level k, summed over each read image's (source, multiplicity)
+    pairs, and in_edges[k], each level-k vertex's ordered in-edge sources."""
+
+    def __init__(self, d: StationaryOrderedDiagram):
+        self._edges = _in_edge_maps(d, 2)
+        self._sources = {a: tuple(Counter(img).items())
+                         for a, img in self._edges[2].items()}
+        self._heights = [{TOP: 1}, dict(zip(d.alphabet, d.top_counts))]
+
+    def upto(self, level: int) -> tuple[list[dict], list[dict]]:
+        heights, edges = self._heights, self._edges
+        while len(heights) <= level:
+            heights.append({a: sum(heights[-1][b] * m for b, m in sources)
+                            for a, sources in self._sources.items()})
+            edges.append(edges[2])
+        return heights, edges
+
+
+_tower_heights = lru_cache(maxsize=256)(_TowerTable)
 
 
 # ---------------------------------------------------------------------------
@@ -248,45 +261,46 @@ def path_window(d: StationaryOrderedDiagram, p: FinitePath, j: int,
     if not 0 <= j <= p.level:
         raise ValueError("row level must be within the path depth")
     n = tower_rank(d, p)
-    width = _tower_heights(d, p.level)[p.level][p.terminal]
-    tower = _TowerSlice(d, p.level, p.terminal, j,
-                        max(n - radius, 0), min(n + radius + 1, width))
-    return tower.window(n, radius)
+    return _TowerSlice(d, p.level, p.terminal, j, n - radius,
+                       n + radius + 1).window(n, radius)
 
 
 def tower_rank(d: StationaryOrderedDiagram, p: FinitePath) -> int:
     """Position of the path inside its tower: the number of paths into the
     same terminal that precede it in the edge-wise enumeration order."""
-    heights = _tower_heights(d, p.level)
-    chain = p.vertices(d)
-    rank = 0
-    for k, edge in enumerate(p.indices, start=1):
-        below = d.in_edges(k, chain[k])
-        rank += sum(heights[k - 1][b] for b in below[:edge])
+    heights, edges = _tower_heights(d).upto(p.level)
+    rank, v = 0, p.terminal
+    for k in range(p.level, 0, -1):
+        below, edge = edges[k][v], p.indices[k - 1]
+        rank += sum(map(heights[k - 1].__getitem__, below[:edge]))
+        v = below[edge]
     return rank
 
 
 class _TowerSlice:
     """Rows 1..j of the tower over `vertex` at `level`, sliced once over
-    the tower columns [lo, hi) (column 0 is the minimal path).  Windows of
-    single columns are cut from the slice; cells() reads the rows as
-    strings, one character per column.
+    the tower columns [lo, hi) (column 0 is the minimal path), read off
+    the diagram's tower table.  Windows of single columns are cut from the
+    slice; cells() reads the rows as strings, one character per column.
     """
 
     def __init__(self, d, level: int, vertex: str, j: int, lo: int,
                  hi: int):
-        heights = _tower_heights(d, level)
+        heights, edges = _tower_heights(d).upto(level)
         self.width = heights[level][vertex]
         # one descent, a row at a time, into the boxes meeting [lo, hi);
-        # boxes keep their unclipped tower columns
+        # boxes keep their unclipped tower columns, and a box's children
+        # are ordered, so they stop at the first one starting at hi
         row = [(vertex, 0, self.width)]
         rows = [row]
         for k in range(level, 1, -1):
-            below = []
+            below, above = [], heights[k - 1]
             for v, at, _ in row:
-                for b in d.in_edges(k, v):
-                    w = heights[k - 1][b]
-                    if at < hi and at + w > lo:
+                for b in edges[k][v]:
+                    if at >= hi:
+                        break
+                    w = above[b]
+                    if at + w > lo:
                         below.append((b, at, at + w))
                     at += w
             rows.append(below)
@@ -466,13 +480,13 @@ def expansiveness_witness_search(d: StationaryOrderedDiagram, i: int,
         raise ValueError("target depth must be >= 1")
     level = max(i + radius, 2)
     per_vertex = max(3, isqrt(2 * budget // max(1, len(d.alphabet))) + 1)
-    heights = _tower_heights(d, level)
+    heights = _tower_heights(d).upto(level)[0][level]
     span = 2 * radius + 1
     cache: dict = {}
     examined = 0
     for v in d.alphabet:
         # pool index a is tower column radius + a, its window [a, a + span)
-        n = min(heights[level][v] - 2 * radius, per_vertex)
+        n = min(heights[v] - 2 * radius, per_vertex)
         if n < 2:
             continue
         tower = _TowerSlice(d, level, v, i, 0, 2 * radius + n)
@@ -532,10 +546,10 @@ def _column_path(d: StationaryOrderedDiagram, level: int, vertex: str,
     """The path at a column of the tower over `vertex`, the inverse of
     tower_rank: one descent, taking at each level the incoming edge whose
     box holds the column."""
-    heights = _tower_heights(d, level)
+    heights, edges = _tower_heights(d).upto(level)
     indices, v = [0] * level, vertex
     for k in range(level, 0, -1):
-        for j, v in enumerate(d.in_edges(k, v)):
+        for j, v in enumerate(edges[k][v]):
             if column < heights[k - 1][v]:
                 break
             column -= heights[k - 1][v]

@@ -362,14 +362,15 @@ def factor_language(s: Substitution, cap: int) -> FactorLanguage:
     """
     if cap < 1:
         raise ValueError("cap must be >= 1")
-    windows = _window_closure(s, s._images_enc, cap)
+    windows = _window_closure(s, s._images_enc, cap)[0]
     return FactorLanguage(s, cap, frozenset(_downward(windows, cap)))
 
 
 def _window_closure(s: Substitution, starts, cap: int,
-                    steps: int = 1) -> set[str]:
-    """The cap-windows (shorter ones whole) of the iterates
-    sigma^(steps * n)(w), n >= 0, of the encoded start words w.
+                    steps: int = 1) -> list[set[str]]:
+    """Per phase k < steps, the cap-windows (shorter ones whole) of the
+    iterates sigma^(steps * n + k)(w), n >= 0, of the encoded start words
+    w; phase 0 holds the start words' own windows.
 
     Windows go through sigma one step at a time, tagged with the step
     count mod steps.  A window u pushes only the windows of sigma(u) that
@@ -401,7 +402,7 @@ def _window_closure(s: Substitution, starts, cap: int,
             if w not in known:
                 known.add(w)
                 work.append((w, phase))
-    return seen[0]
+    return seen
 
 
 def _downward(words, cap: int) -> set[str]:

@@ -20,8 +20,10 @@ from adicshift import (TOP, CompatibleWitness, CoreCheck,
                        classify_letters, expand, expansion_lengths,
                        factor_language, norms, one_word_tilings,
                        shift_down_path)
-from adicshift.constructions import _FRONT_BUDGET
-from adicshift.words import _window_closure
+from adicshift.constructions import (_FRONT_BUDGET, MinimalComponent,
+                                     _junction_ok)
+from adicshift.diagrams import _deepen_maximal, _wrap_maximal
+from adicshift.words import _cycle, _window_closure
 
 
 def naive_factors(s, cap, depth):
@@ -331,8 +333,6 @@ def stepwise_orbit_coding(d, start, steps, level, max_to_min=None):
     """vershik_orbit_coding one state at a time: the label read from the
     path's own vertex chain and the next path from rebuilt_successor, with
     the library's deepening and wrap at maximal truncations."""
-    from adicshift.diagrams import _deepen_maximal, _wrap_maximal
-
     current, out = start, []
     for _ in range(steps):
         out.append(current.vertices(d)[level])
@@ -512,8 +512,79 @@ def whole_front_return_words(s, comps, scale):
                                      for seg in split(grow(w)))
     if scale is None:
         scale = max(8, *map(len, vocabulary))
-    found = {w for x in _window_closure(s, s._images_enc, scale + 2)
+    found = {w for x in _window_closure(s, s._images_enc, scale + 2)[0]
              for w in split(x)[1:-1]}
     vocabulary.update(dict.fromkeys(sorted(found,
                                            key=lambda w: (len(w), w))))
     return ReturnWordSystem(pairs, power, tuple(map(s.decode, vocabulary)))
+
+
+def per_seed_census(s, scale):
+    """minimal_components with one factor set per seed: each seed's full
+    phase walk, stepping by its own first-letter cycle length, and each
+    junction's left marker walked again at the pair's period."""
+    long = classify_letters(s).long
+    first = {a: s.image(a)[0] for a in s.alphabet}
+    last = {a: s.image(a)[-1] for a in s.alphabet}
+    seeds = [(a, len(c)) for a in long if (c := _cycle(first, a))]
+    fact = {a: frozenset(phase_walk_factors(s, (a,), scale, p))
+            for a, p in seeds}
+    groups = {}
+    for a, p in seeds:
+        if not any(fact[b] < fact[a] for b, _ in seeds):
+            groups.setdefault(fact[a], []).append((a, p))
+    lefts = [(a, len(c)) for a in long if (c := _cycle(last, a))]
+    out = []
+    for factors, g in groups.items():
+        best = None, None
+        for (r, pr), (l, pl) in itertools.product(lefts, g):
+            p = lcm(pr, pl)
+            if (s.encode((r, l)) in factors
+                    and phase_walk_factors(s, (r,), scale, p) <= factors
+                    and _junction_ok(s, p, r, l, factors, scale)):
+                best = (r, l), p
+                break
+        out.append(MinimalComponent(tuple(a for a, _ in g), *best, scale))
+    return tuple(out)
+
+
+def path_successors(d, p, chain):
+    """The paths after p into its terminal, one FinitePath per state, with
+    the vertex chain carried along in place and edges read by d.in_edges."""
+    indices = list(p.indices)
+    while True:
+        for k in range(1, p.level + 1):
+            edges = d.in_edges(k, chain[k])
+            if indices[k - 1] + 1 < len(edges):
+                break
+        else:
+            return
+        indices[k - 1] += 1
+        source = edges[indices[k - 1]]
+        for m in range(k - 1, 0, -1):
+            chain[m] = source
+            indices[m - 1] = 0
+            source = d.in_edges(m, source)[0]
+        yield FinitePath(p.level, p.terminal, tuple(indices))
+
+
+def path_walk_orbit_coding(d, start, steps, level, max_to_min=None):
+    """vershik_orbit_coding on path_successors: every state a FinitePath,
+    the library's deepening and wrap at maximal truncations."""
+    current, chain = start, list(start.vertices(d))
+    walk, out = path_successors(d, current, chain), []
+    for _ in range(steps):
+        out.append(chain[level])
+        nxt = next(walk, None)
+        while nxt is None:
+            if not isinstance(d, StationaryOrderedDiagram):
+                raise ImproperOrdering("maximal truncation at full depth; "
+                                       "the diagram gives no continuation "
+                                       "to extend along")
+            deepened = _deepen_maximal(d, current)
+            current = deepened or _wrap_maximal(d, current, max_to_min)
+            chain = list(current.vertices(d))
+            walk = path_successors(d, current, chain)
+            nxt = current if deepened is None else next(walk, None)
+        current = nxt
+    return tuple(out)

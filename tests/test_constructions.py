@@ -3,6 +3,7 @@ words, the derivative rule, and the structural predicates behind them."""
 
 import random
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
@@ -49,8 +50,8 @@ import adicshift.constructions as constructions
 from adicshift.constructions import _grown_factors
 from adicshift.symbols import _tower_heights
 from adicshift.words import _downward
-from oracles import (naive_seed_factors, phase_walk_factors, primitive_blocks,
-                     whole_front_return_words)
+from oracles import (naive_seed_factors, per_seed_census, phase_walk_factors,
+                     primitive_blocks, whole_front_return_words)
 from strategies import (CHACON, DOUBLING, FIBONACCI, IDENTITY, THUE_MORSE as TM,
                         TWO_BLOCK, chacon_like, substitutions)
 
@@ -290,7 +291,7 @@ GROWN_PANEL = [CHACON, TM, TWO_BLOCK, FIBONACCI, DOUBLING, IDENTITY,
 @pytest.mark.parametrize("steps", [1, 2])
 def test_grown_factors_match_expanded_seed_iterates(s, steps):
     for a in s.alphabet:
-        grown = _downward(_grown_factors(s, (a,), 5, steps), 5)
+        grown = _downward(_grown_factors(s, (a,), 5, steps)[0], 5)
         assert ({s.decode(w) for w in grown}
                 == naive_seed_factors(s, (a,), 5, steps, 8 // steps))
 
@@ -301,10 +302,23 @@ def test_grown_factors_match_expanded_seed_iterates(s, steps):
 def test_grown_factors_match_phase_walk(s, data, cap, steps):
     seed = tuple(data.draw(st.lists(st.sampled_from(s.alphabet),
                                     min_size=1, max_size=3)))
-    maximal = _grown_factors(s, seed, cap, steps)
-    assert _downward(maximal, cap) == phase_walk_factors(s, seed, cap, steps)
-    # kept as the maximal factors only
-    assert not any(w != x and w in x for w in maximal for x in maximal)
+    phases = _grown_factors(s, seed, cap, steps)
+    assert len(phases) == steps
+    for k, maximal in enumerate(phases):
+        # phase k holds the iterates of sigma^k(seed)
+        assert _downward(maximal, cap) == phase_walk_factors(
+            s, expand(s, seed, k), cap, steps)
+        # kept as the maximal factors only
+        assert not any(w != x and w in x for w in maximal for x in maximal)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(chacon_like(), substitutions()))
+def test_census_matches_per_seed_closures(s):
+    # one closure per first-letter cycle against one full walk per seed
+    for scale in (4, 8, 16):
+        assert (repr(minimal_components(s, scale))
+                == repr(per_seed_census(s, scale)))
 
 
 @settings(max_examples=60, deadline=None)
@@ -371,7 +385,8 @@ def test_return_words_match_whole_fronts(s):
     # the same vocabulary in the same order, or the same refusal
     for scale in (None, 8, 16):
         comps = minimal_components(s, 8 if scale is None else scale)
-        assert (_outcome(lambda: constructions._return_words(s, comps, scale))
+        assert (_outcome(lambda: constructions._return_words(s, comps,
+                                                             scale)[0])
                 == _outcome(lambda: whole_front_return_words(s, comps, scale)))
 
 
@@ -406,6 +421,49 @@ def test_derivative_incomplete_vocabulary_fails():
         rs.pairs, rs.power, (rs.vocabulary[0],) + rs.vocabulary[2:])
     with pytest.raises(DecompositionFailure):
         derivative_substitution(clipped, CHACON)
+
+
+PANEL_FILE = Path(__file__).parent.parent / "perfbench" / "panel.txt"
+PANEL = [parse_substitution(line.replace(";", "\n"))
+         for line in PANEL_FILE.read_text().splitlines()
+         if line.strip() and not line.startswith("#")]
+
+
+def _raised(build):
+    try:
+        return build()
+    except DecompositionFailure as e:
+        return type(e), str(e)
+
+
+def _same_tau_both_routes(s):
+    """The route's tau, from the pieces its closure check cut, against the
+    public derivative_substitution on the same return-word system; then
+    both on the system without its first word.  The refusal, if any."""
+    try:
+        d = diagram_via_derivative(s)
+    except (DecompositionFailure, ScaleTooSmall, DiagramError):
+        return None
+    rs, cut = constructions._return_words(s, minimal_components(s), None)
+    assert d.read_images == derivative_substitution(rs, s).images
+    clipped = ReturnWordSystem(rs.pairs, rs.power, rs.vocabulary[1:])
+    refused = _raised(lambda: constructions._derivative(clipped, s, cut))
+    assert refused == _raised(lambda: derivative_substitution(clipped, s))
+    return refused
+
+
+def test_derivative_route_tau_matches_public_rule_on_panel():
+    refusals = [_same_tau_both_routes(s) for s in PANEL + [CHACON]]
+    # a missing segment is refused with the same type and message
+    assert refusals[-1] == (DecompositionFailure,
+                            "segment '0' is not in the return-word system's "
+                            "vocabulary")
+
+
+@settings(max_examples=60, deadline=None)
+@given(chacon_like())
+def test_derivative_route_tau_matches_public_rule(s):
+    _same_tau_both_routes(s)
 
 
 # ---------------------------------------------------------------------------
@@ -558,7 +616,7 @@ def test_derivative_route_matches_return_words(s):
         return
     rs = return_words(s, max(8, *d.top_counts))
     assert d.alphabet == rs.indices
-    built = constructions._return_words(s, minimal_components(s), None)
+    built, _ = constructions._return_words(s, minimal_components(s), None)
     assert built.vocabulary == rs.vocabulary
     eff = s.power(rs.power)
     markers = set(rs.pairs)

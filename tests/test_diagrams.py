@@ -30,7 +30,8 @@ from adicshift import (
 )
 from adicshift.diagrams import MAX_ENUMERATED_PATHS, _successors
 from oracles import (all_paths_sorted, extremal_periods,
-                     path_count_by_matrices, stepwise_orbit_coding)
+                     path_count_by_matrices, path_successors,
+                     path_walk_orbit_coding, stepwise_orbit_coding)
 from strategies import (CHACON, ordered_diagrams, stationary_diagrams,
                         substitutions)
 
@@ -193,7 +194,9 @@ def test_successor_enumerates_lexicographically(d, data):
         walked.append(nxt)
         assert len(walked) <= len(expected)
     assert walked == expected
-    assert list(_successors(d, walked[0])) == expected[1:]
+    # one index list, rewritten in place at every step
+    assert [FinitePath(n, v, tuple(indices))
+            for indices in _successors(d, walked[0])] == expected[1:]
 
 
 def test_successor_on_derivative_depth3_visits_everything():
@@ -387,6 +390,34 @@ def test_orbit_coding_matches_stepwise_reference(d, depth, pick, level,
             vershik_orbit_coding(d, start, steps, level)
         return
     assert vershik_orbit_coding(d, start, steps, level) == expected
+
+
+def _coded(code, *args):
+    try:
+        return code(*args)
+    except ImproperOrdering as e:
+        return type(e), str(e)
+
+
+@settings(max_examples=150, deadline=None)
+@given(stationary_diagrams(), st.integers(1, 5), st.integers(0, 2),
+       st.integers(1, 5), st.integers(1, 80))
+def test_orbit_coding_matches_path_walk(d, depth, pick, level, steps):
+    # the walk on one index list against one FinitePath per state, through
+    # deepenings, wraps with and without an assignment, and a plain diagram
+    start = minimal_path(d, depth, d.alphabet[pick % len(d.alphabet)])
+    level = min(level, depth)
+    ex = extremal_paths(d)
+    assignment = {m.period: ex.minimal[0].period for m in ex.maximal}
+    for diagram, max_to_min in ((d, None), (d, assignment),
+                                (d.unroll(depth), None)):
+        args = (diagram, start, steps, level, max_to_min)
+        assert (_coded(vershik_orbit_coding, *args)
+                == _coded(path_walk_orbit_coding, *args))
+    # the successor itself, through Maximal
+    for p in enumerate_paths(d, min(depth, 3), start.terminal):
+        assert (vershik_successor(d, p)
+                == next(path_successors(d, p, list(p.vertices(d))), Maximal))
 
 
 def test_fixed_depth_diagram_cannot_extend():

@@ -286,6 +286,18 @@ def test_tower_rank_matches_enumeration_order(s):
 
 
 @settings(max_examples=60, deadline=None)
+@given(stationary_diagrams(max_letters=3, max_image=2, max_top=2))
+def test_tower_table_counts_enumerated_paths(d):
+    heights, edges = _tower_heights(d).upto(5)
+    for level in range(1, 6):
+        for v in d.alphabet:
+            assert heights[level][v] == len(enumerate_paths(d, level, v))
+            assert edges[level][v] == d.in_edges(level, v)
+    # grown on demand, once: a shallower call reads the same levels
+    assert _tower_heights(d).upto(2)[0] is heights
+
+
+@settings(max_examples=60, deadline=None)
 @given(stationary_diagrams(), st.integers(1, 6), st.data())
 def test_column_path_inverts_tower_rank(d, level, data):
     v = data.draw(st.sampled_from(d.alphabet))
