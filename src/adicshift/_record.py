@@ -8,7 +8,8 @@ ends by calling ``__post_init__`` when the class has one, ``__repr__`` as
 ``Name(f=v, ...)``, ``__eq__`` on the same class only, and
 ``__match_args__``.  Every record is frozen, as with the data-class option
 ``frozen=True``: it hashes as the tuple of its fields (so a record with an
-unhashable field is unhashable) and refuses assignment and deletion.
+unhashable field is unhashable), unless the class defines ``__hash__``
+itself, and refuses assignment and deletion.
 """
 
 
@@ -38,7 +39,8 @@ def record(cls):
     cls.__init__ = namespace["__init__"]
     cls.__repr__ = __repr__
     cls.__eq__ = namespace["__eq__"]
-    cls.__hash__ = namespace["__hash__"]
+    if cls.__dict__.get("__hash__") is None:
+        cls.__hash__ = namespace["__hash__"]
     cls.__match_args__ = names
     cls.__setattr__ = _refuse_assignment
     cls.__delattr__ = _refuse_deletion

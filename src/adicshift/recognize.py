@@ -5,10 +5,16 @@ one-letter images sigma(a); the two end tiles may be clipped.  Iterating the
 tiling on the interior that survives end effects realizes recognizability at
 desk scale: genuine aperiodic inputs produce a unique parse chain, periodic
 ones an ambiguity report.
+
+recognize_window tiles the base window once, through one_word_tilings.
+Deeper levels stay encoded: a chain is a tuple of the (encoded parent,
+offset) pairs of the cached walk, retiled and annotated as the walk gave
+them; Tiling records of a deeper level are built only for a report.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from functools import lru_cache
 from itertools import accumulate
 from math import inf
@@ -17,11 +23,11 @@ from ._record import record
 from .errors import WindowTooShort
 from .words import (
     Substitution,
+    Word,
     as_letters,
     expand,
     expansion_lengths,
     factor_language,
-    norms,
 )
 
 # ---------------------------------------------------------------------------
@@ -58,24 +64,24 @@ _SHORT = 8             # words this long or shorter: factor_language(s, 8)
 _POPS_PER_LETTER = 16  # walk budget: partial covers popped per word letter
 
 
-def _tile_boundaries(images, parent: str, offset):
+def _tile_boundaries(lengths, parent: str, offset):
     """Tile boundary positions in window coordinates of the encoded parent,
-    by the encoded image table of _walk_tables; first entry <= 0."""
-    return list(accumulate(map(len, map(images.__getitem__, parent)),
-                           initial=-offset))
+    by the image lengths of _walk_tables; first entry <= 0."""
+    return list(accumulate(map(lengths.__getitem__, parent), initial=-offset))
 
 
 @lru_cache(maxsize=64)
 def _walk_tables(s: Substitution):
     """Encoded images by encoded letter, (letter, image) pairs by the first
-    letter of the image, and the encoded factor_language(s, 8), or None
-    when every image has length 1."""
+    letter of the image, the encoded factor_language(s, 8), or None when
+    every image has length 1, and image lengths by encoded letter."""
     images = dict(zip(s.encode(s.alphabet), s._images_enc))
     starting = {c: [(a, img) for a, img in images.items() if img[0] == c]
                 for c in images}
+    lengths = {c: len(img) for c, img in images.items()}
     short = (factor_language(s, _SHORT).encoded
-             if max(map(len, images.values())) > 1 else None)
-    return images, starting, short
+             if max(lengths.values()) > 1 else None)
+    return images, starting, short, lengths
 
 
 @lru_cache(maxsize=1 << 12)
@@ -93,7 +99,7 @@ def _tiling_walk(s: Substitution, word: str, interior_only: bool,
     every parent the callers keep does.
     """
     n = len(word)
-    images, starting, short = _walk_tables(s)
+    images, starting, short, _ = _walk_tables(s)
     found: set[tuple[str, int]] = set()
     budget = _POPS_PER_LETTER * n if budgeted else inf
 
@@ -132,7 +138,12 @@ def _tiling_walk(s: Substitution, word: str, interior_only: bool,
     return frozenset(found)
 
 
-@lru_cache(maxsize=1 << 14)
+@lru_cache(maxsize=16)
+def _answers(s: Substitution) -> dict[str, bool]:
+    """The words _parent_in_language decided for s, at most 1 << 14."""
+    return {}
+
+
 def _parent_in_language(s: Substitution, enc: str) -> bool:
     """Is the encoded word a factor of some sigma^n(a), n >= 1 (the language
     of factor_language)?  Answered by desubstitution, without building the
@@ -148,10 +159,15 @@ def _parent_in_language(s: Substitution, enc: str) -> bool:
     every tile shows one letter; then, and when the budgeted walk gives up,
     w is looked up in the language at the next multiple of 8 above |w|.
     Parents are decided with an explicit stack, as they may shrink by one
-    letter a level (a -> ab, b -> b on a b^k).
+    letter a level (a -> ab, b -> b on a b^k), and every word decided on
+    the way is kept, so a parent at the next level is found decided.
     """
+    answers = _answers(s)
+    if enc in answers:
+        return answers[enc]
+    if len(answers) > 1 << 14:
+        answers.clear()
     short = factor_language(s, _SHORT).encoded
-    answers: dict[str, bool] = {}
     parents: dict[str, tuple[str, ...]] = {}
     stack = [enc]
     while stack:
@@ -186,6 +202,27 @@ def _parent_in_language(s: Substitution, enc: str) -> bool:
     return answers[enc]
 
 
+def _tilings(s: Substitution, word: str, interior_only: bool = False):
+    """The (encoded parent, offset) tilings of the encoded word whose parents
+    lie in the language, in one_word_tilings' order."""
+    found = _tiling_walk(s, word, interior_only, True)
+    if found is None:
+        found = _tiling_walk(s, word, interior_only, False)
+    _, _, short, lengths = _walk_tables(s)
+    if short is not None:
+        found = [f for f in found if _parent_in_language(s, f[0])]
+    return sorted(found, key=lambda f: (lengths[f[0][0]] - f[1], f[0]))
+
+
+def _tiling(s: Substitution, lengths, parent: str, offset: int, n: int):
+    """The Tiling of a word of n letters by the encoded parent at offset."""
+    bounds = _tile_boundaries(lengths, parent, offset)
+    cuts = tuple(bounds[bisect_left(bounds, 0):bisect_right(bounds, n)])
+    left = min(bounds[1], n) - max(bounds[0], 0)
+    right = min(bounds[-1], n) - max(bounds[-2], 0)
+    return Tiling(s.decode(parent), offset, n, (left, right), cuts)
+
+
 def one_word_tilings(s: Substitution, window, interior_only: bool = False):
     """All tilings of the window by {sigma(a)}; clipped end tiles are allowed
     unless interior_only, which demands an exact cover (offset 0, exact end).
@@ -193,33 +230,15 @@ def one_word_tilings(s: Substitution, window, interior_only: bool = False):
     Parents are kept only when they lie in the factor language, which
     _parent_in_language decides by desubstituting them in turn -- except
     when the substitution never expands (max norm 1), where the language
-    contains no multi-letter words and the check is meaningless.  The walk
-    runs on the encoded window with an explicit stack (long windows never
-    meet the recursion limit) and is cached, so the walk that decided a
-    parent's membership also tiles that parent at the next level.
-    Result order: (first cut position, parent in alphabet indices); the
-    encoded parents sort in that order, as codes follow the alphabet.
+    contains no multi-letter words and the check is meaningless.  Result
+    order: (first cut position, parent in alphabet indices).
     """
-    word = s.encode(as_letters(s, window))
-    n = len(word)
-    if n == 0:
+    word = s.encode(window.letters if isinstance(window, Word) else window)
+    if not word:
         raise ValueError("window must be nonempty")
-    found = _tiling_walk(s, word, interior_only, True)
-    if found is None:
-        found = _tiling_walk(s, word, interior_only, False)
-    images, _, short = _walk_tables(s)
-    if short is not None:
-        found = {(p, off) for (p, off) in found if _parent_in_language(s, p)}
-
-    tilings = []
-    for parent, offset in sorted(
-            found, key=lambda f: (len(images[f[0][0]]) - f[1], f[0])):
-        bounds = _tile_boundaries(images, parent, offset)
-        cuts = tuple(b for b in bounds if 0 <= b <= n)
-        left = min(bounds[1], n) - max(bounds[0], 0)
-        right = min(bounds[-1], n) - max(bounds[-2], 0)
-        tilings.append(Tiling(s.decode(parent), offset, n, (left, right), cuts))
-    return tilings
+    lengths = _walk_tables(s)[3]
+    return [_tiling(s, lengths, parent, offset, len(word))
+            for parent, offset in _tilings(s, word, interior_only)]
 
 
 # ---------------------------------------------------------------------------
@@ -246,10 +265,6 @@ class ParseChain:
     base: tuple[str, ...]
     levels: tuple[ChainLevel, ...]
 
-    def windows(self):
-        """The base window followed by the parent word of each level."""
-        return (self.base,) + tuple(l.parent for l in self.levels)
-
 
 @record
 class AmbiguityReport:
@@ -263,79 +278,66 @@ class AmbiguityReport:
 
 def _letter_forced(images, visible: str, left_hidden: bool,
                    right_hidden: bool) -> bool:
-    """Is the letter of a partially visible tile forced by its visible part?
-
-    `visible` is the observed fragment of the tile's encoded image; a hidden
-    side means at least one image letter continues beyond the known region
-    there.  `images` is the encoded image table of _walk_tables.
-    """
-    if not visible:
-        return False
-    fits = 0
-    for img in images.values():
-        if left_hidden and right_hidden:
-            ok = len(img) > len(visible) + 1 and visible in img[1:-1]
-        elif left_hidden:
-            ok = len(img) > len(visible) and img.endswith(visible)
-        else:
-            ok = len(img) > len(visible) and img.startswith(visible)
-        if ok:
-            fits += 1
-            if fits > 1:
-                return False
-    return fits == 1
+    """Is the letter of a partially visible tile forced by `visible`, the
+    observed fragment of its encoded image (`images` by _walk_tables)?  A
+    hidden side: an image letter continues beyond the known region there."""
+    both = left_hidden and right_hidden
+    fits = [g for g in images.values() if len(g) > len(visible) + both and (
+        visible in g[1:-1] if both else
+        g.endswith(visible) if left_hidden else g.startswith(visible))]
+    return len(visible) > 0 and len(fits) == 1
 
 
-def _annotate_chain(images, chain, base: str, unit):
-    """Per-level trace of one chain of tilings, in base coordinates.
-
-    The base window and the chain's (parent, offset) tilings are encoded,
-    and `images` is the encoded image table of _walk_tables.  Returns a
-    list of (cuts, tiles) per level, where cuts are the boundary positions
-    surviving the level's clip and tiles are (start, end, encoded letter)
-    triples kept for the next level -- fully located tiles meeting the
-    clipped interior, plus boundary-straddling tiles whose letter the
-    visible fragment forces.  Unknown coordinates are None.
-    """
-    length = len(base)
-    trace = []
-    prev_word = base                 # word the current level retiles
-    prev_bounds = list(range(length + 1))   # letter index -> base coordinate
-    kept_lo, kept_hi = 0, length     # boundary-index clamp from kept tiles
+def _annotate_chain(images, lengths, chain, base: str, unit):
+    """Per-level trace of an encoded chain of (parent, offset) tilings of the
+    encoded base, by the tables of _walk_tables: the level's cuts in base
+    coordinates that survive its clip, and the bounds (None where unknown)
+    and letters of the run kept for the next level: located tiles meeting
+    the clipped interior, and end tiles past the known letters whose
+    fragment forces the letter.  Boundaries increase, so with -inf and inf
+    for unknown ones cuts and run are bisected out.  After a level keeps no
+    tile, a tile is kept when it lies under the last run or its fragment
+    forces the letter (read up to the parent's last letter, no run kept)."""
+    length, trace = len(base), []
+    # the letters kept last, their bounds, where they start in the parent
+    word, at, shift, end = base, range(length + 1), 0, length
     for level, (parent, offset) in enumerate(chain, start=1):
-        lb = _tile_boundaries(images, parent, offset)
-        bb = [prev_bounds[p] if kept_lo <= p <= kept_hi else None
-              for p in lb]
+        lb = _tile_boundaries(lengths, parent, offset + shift)
         lo, hi = unit * level, length - unit * level
-        cuts = tuple(b for b in bb if b is not None and lo <= b <= hi)
-        tiles = []
-        kept_idx = []
-        for j, a in enumerate(parent):
-            b, e = bb[j], bb[j + 1]
-            if (b is not None and b > hi) or (e is not None and e < lo):
-                continue
-            # a tile reaching past the known letters is kept only when its
-            # visible fragment forces the letter
-            left_hidden = lb[j] < kept_lo
-            right_hidden = lb[j + 1] > kept_hi
-            if left_hidden or right_hidden:
-                p, q = max(lb[j], kept_lo), min(lb[j + 1], kept_hi)
-                visible = prev_word[p:q]
-                if not _letter_forced(images, visible, left_hidden,
-                                      right_hidden):
-                    continue
-            tiles.append((b, e, a))
-            kept_idx.append(j)
-        if kept_idx and kept_idx != list(range(kept_idx[0], kept_idx[-1] + 1)):
-            raise AssertionError("kept tiles must form a contiguous run")
-        trace.append((cuts, tuple(tiles)))
-        prev_word = parent
-        prev_bounds = bb
-        if kept_idx:
-            kept_lo, kept_hi = kept_idx[0], kept_idx[-1] + 1
+        if at is not None:
+            i, k = bisect_left(lb, 0), bisect_right(lb, end)
+            bb = (lb[i:k] if level == 1 else     # base coordinates already
+                     list(map(at.__getitem__, lb[i:k])))
+            a, b = bisect_left(bb, lo), bisect_right(bb, hi)
+            cuts = tuple(bb[a:b])
+            first, last = max(i + a - 1, 0), min(i + b, len(parent)) - 1
+            if first <= last and first < i and not _letter_forced(
+                    images, word[:lb[first + 1]], True, first + 1 >= k):
+                first += 1
+            if first <= last and last + 1 >= k and not _letter_forced(
+                    images, word[max(lb[last], 0):], last < i, True):
+                last -= 1
+            at = ([-inf] * (first < i) + bb[max(first - i, 0):last + 2 - i]
+                  + [inf] * (last + 1 >= k)) if first <= last else None
+            bounds = at and (None if at[0] == -inf else at[0], *at[1:-1],
+                             None if at[-1] == inf else at[-1])
         else:
-            kept_lo, kept_hi = 0, -1     # nothing located: starve next level
-    return trace
+            cuts = ()
+            kept = [j for j in range(len(parent))
+                    if 0 <= lb[j] and lb[j + 1] <= end or _letter_forced(
+                        images, word[max(lb[j], 0):min(lb[j + 1], end)],
+                        lb[j] < 0, lb[j + 1] > end)]
+            if kept and kept[-1] - kept[0] >= len(kept):
+                raise AssertionError("kept tiles must form a contiguous run")
+            first, last = (kept[0], kept[-1]) if kept else (0, -1)
+            bounds = (None,) * (last - first + 2)
+        letters = parent[first:last + 1]
+        if letters:
+            word, shift, end = letters, first, len(letters)
+        else:           # the next level reads the whole parent
+            bounds, word, at, shift, end = (), parent, None, 0, -1
+        trace.append((cuts, bounds, letters))
+    return tuple(trace)
 
 
 def recognize_window(s: Substitution, window, n: int, chain_budget: int = 1000):
@@ -354,21 +356,22 @@ def recognize_window(s: Substitution, window, n: int, chain_budget: int = 1000):
         raise ValueError("levels must be >= 1")
     base = as_letters(s, window)
     length = len(base)
-    mnorm = norms(s, 1)[1]
+    mnorm = max(map(len, s.images))
     unit = mnorm if mnorm >= 2 else 0
     if unit and n * unit > length - n * unit:
         raise WindowTooShort(
             f"window length {length} cannot survive {n} rounds of clipping "
             f"{unit} per end")
 
-    chains = [[]]
+    tilings, encoded = one_word_tilings(s, base), s.encode(base)
+    first = dict(zip(_tilings(s, encoded), tilings))
+    chains = [()]
     for level in range(1, n + 1):
         interior = (unit * level, length - unit * level)
         extended = []
         for chain in chains:
-            word = base if not chain else chain[-1].parent
-            for t in one_word_tilings(s, word, interior_only=False):
-                extended.append(chain + [t])
+            extended += [chain + (pair,) for pair in
+                         (_tilings(s, chain[-1][0]) if chain else first)]
             if len(extended) > chain_budget:
                 return AmbiguityReport(level, (), interior,
                                        "chain budget exceeded")
@@ -377,30 +380,27 @@ def recognize_window(s: Substitution, window, n: int, chain_budget: int = 1000):
                                    "no tilings at all: not a language window")
         chains = extended
 
-    images, encoded = _walk_tables(s)[0], s.encode(base)
-    traces = []
-    for chain in chains:
-        tilings = [(s.encode(t.parent), t.offset) for t in chain]
-        traces.append(tuple(_annotate_chain(images, tilings, encoded, unit)))
-    if any(tr != traces[0] for tr in traces[1:]):
-        level = next(
-            k + 1 for k in range(n)
-            if any(tr[k] != traces[0][k] for tr in traces[1:]))
+    images, _, _, lengths = _walk_tables(s)
+    traces = [_annotate_chain(images, lengths, chain, encoded, unit)
+              for chain in chains]
+    level = next((k + 1 for k in range(n)
+                  if any(tr[k] != traces[0][k] for tr in traces)), None)
+    if level is not None:
         level_tilings = sorted(
-            {chain[level - 1] for chain in chains},
+            {first[c[0]] if level == 1 else
+             _tiling(s, lengths, *c[level - 1], len(c[level - 2][0]))
+             for c in chains},
             key=lambda t: (len(s.image(t.parent[0])) - t.offset, t.parent))
         return AmbiguityReport(level, tuple(level_tilings),
                                (unit * level, length - unit * level),
                                "chains disagree on the interior")
 
     levels = []
-    for (cuts, tiles) in traces[0]:
-        if not tiles:
+    for _, bounds, letters in traces[0]:
+        if not letters:
             raise WindowTooShort(
                 "no level tile meets the clipped interior; enlarge the radius")
-        parent = s.decode([a for _, _, a in tiles])
-        bounds = (tiles[0][0],) + tuple(e for _, e, _ in tiles)
-        levels.append(ChainLevel(parent, bounds))
+        levels.append(ChainLevel(s.decode(letters), bounds))
     return ParseChain(base, tuple(levels))
 
 

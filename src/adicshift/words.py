@@ -91,6 +91,16 @@ class Substitution:
             f"{a} -> {_spell(img, self.alphabet)}"
             for a, img in zip(self.alphabet, self.images))
 
+    @cached_property
+    def _hash(self) -> int:     # computed once: every cache keys on it
+        return hash((self.alphabet, self.images))
+
+    def __hash__(self):
+        return self._hash
+
+    def __reduce__(self):       # from the fields: no hash crosses processes
+        return Substitution, (self.alphabet, self.images)
+
     # -- internal single-character codec ------------------------------------
 
     @cached_property

@@ -12,18 +12,19 @@ from math import isqrt, lcm
 
 import numpy as np
 
-from adicshift import (TOP, CompatibleWitness, CoreCheck,
-                       DecompositionFailure, FinitePath, ImproperOrdering,
-                       JSequenceWindow, LambdaSeed, NoneWithinBudget,
-                       ReturnWordSystem, ScaleTooSmall,
-                       StationaryOrderedDiagram, Substitution, Unbounded,
-                       classify_letters, expand, expansion_lengths,
-                       factor_language, norms, one_word_tilings,
-                       shift_down_path)
+import adicshift.recognize as recognize
+from adicshift import (TOP, AmbiguityReport, ChainLevel, CompatibleWitness,
+                       CoreCheck, DecompositionFailure, FinitePath,
+                       ImproperOrdering, JSequenceWindow, LambdaSeed,
+                       NoneWithinBudget, ParseChain, ReturnWordSystem,
+                       ScaleTooSmall, StationaryOrderedDiagram, Substitution,
+                       Tiling, Unbounded, WindowTooShort, classify_letters,
+                       expand, expansion_lengths, factor_language, norms,
+                       one_word_tilings, shift_down_path)
 from adicshift.constructions import (_FRONT_BUDGET, MinimalComponent,
                                      _junction_ok)
 from adicshift.diagrams import _deepen_maximal, _wrap_maximal
-from adicshift.words import _cycle, _window_closure
+from adicshift.words import _cycle, _window_closure, as_letters
 
 
 def naive_factors(s, cap, depth):
@@ -588,3 +589,144 @@ def path_walk_orbit_coding(d, start, steps, level, max_to_min=None):
             nxt = current if deepened is None else next(walk, None)
         current = nxt
     return tuple(out)
+
+
+def record_chain_recognize_window(s, window, n, chain_budget=1000):
+    """recognize_window as it was before chains stayed encoded: every level
+    is tiled through record_chain_tilings into Tiling records, and each
+    chain's parents are encoded again for record_chain_annotate.  The walk,
+    the image table and the membership test are the engine's, looked up
+    through the module so that a patched _parent_in_language applies."""
+    if n < 1:
+        raise ValueError("levels must be >= 1")
+    base = as_letters(s, window)
+    length = len(base)
+    mnorm = norms(s, 1)[1]
+    unit = mnorm if mnorm >= 2 else 0
+    if unit and n * unit > length - n * unit:
+        raise WindowTooShort(
+            f"window length {length} cannot survive {n} rounds of clipping "
+            f"{unit} per end")
+
+    chains = [[]]
+    for level in range(1, n + 1):
+        interior = (unit * level, length - unit * level)
+        extended = []
+        for chain in chains:
+            word = base if not chain else chain[-1].parent
+            for t in record_chain_tilings(s, word):
+                extended.append(chain + [t])
+            if len(extended) > chain_budget:
+                return AmbiguityReport(level, (), interior,
+                                       "chain budget exceeded")
+        if not extended:
+            return AmbiguityReport(level, (), interior,
+                                   "no tilings at all: not a language window")
+        chains = extended
+
+    images, encoded = recognize._walk_tables(s)[0], s.encode(base)
+    traces = []
+    for chain in chains:
+        tilings = [(s.encode(t.parent), t.offset) for t in chain]
+        traces.append(tuple(
+            record_chain_annotate(images, tilings, encoded, unit)))
+    if any(tr != traces[0] for tr in traces[1:]):
+        level = next(
+            k + 1 for k in range(n)
+            if any(tr[k] != traces[0][k] for tr in traces[1:]))
+        level_tilings = sorted(
+            {chain[level - 1] for chain in chains},
+            key=lambda t: (len(s.image(t.parent[0])) - t.offset, t.parent))
+        return AmbiguityReport(level, tuple(level_tilings),
+                               (unit * level, length - unit * level),
+                               "chains disagree on the interior")
+
+    levels = []
+    for (cuts, tiles) in traces[0]:
+        if not tiles:
+            raise WindowTooShort(
+                "no level tile meets the clipped interior; enlarge the radius")
+        parent = s.decode([a for _, _, a in tiles])
+        bounds = (tiles[0][0],) + tuple(e for _, e, _ in tiles)
+        levels.append(ChainLevel(parent, bounds))
+    return ParseChain(base, tuple(levels))
+
+
+def record_chain_tilings(s, window):
+    """one_word_tilings with clipped end tiles, as it was: the window's
+    letters checked, each parent decoded into a Tiling, cuts filtered one
+    boundary at a time."""
+    word = s.encode(as_letters(s, window))
+    n = len(word)
+    if n == 0:
+        raise ValueError("window must be nonempty")
+    found = recognize._tiling_walk(s, word, False, True)
+    if found is None:
+        found = recognize._tiling_walk(s, word, False, False)
+    images, _, short, _ = recognize._walk_tables(s)
+    if short is not None:
+        found = {(p, off) for (p, off) in found
+                 if recognize._parent_in_language(s, p)}
+
+    tilings = []
+    for parent, offset in sorted(
+            found, key=lambda f: (len(images[f[0][0]]) - f[1], f[0])):
+        bounds = record_chain_boundaries(images, parent, offset)
+        cuts = tuple(b for b in bounds if 0 <= b <= n)
+        left = min(bounds[1], n) - max(bounds[0], 0)
+        right = min(bounds[-1], n) - max(bounds[-2], 0)
+        tilings.append(Tiling(s.decode(parent), offset, n, (left, right), cuts))
+    return tilings
+
+
+def record_chain_boundaries(images, parent, offset):
+    """Tile boundary positions of the encoded parent in window coordinates,
+    by the encoded image table; first entry <= 0."""
+    return list(itertools.accumulate(
+        map(len, map(images.__getitem__, parent)), initial=-offset))
+
+
+def record_chain_annotate(images, chain, base, unit):
+    """The per-tile annotation of one encoded chain, as it was: (cuts,
+    tiles) per level, tiles as (start, end, encoded letter) triples.  It
+    raises AssertionError when the kept tiles of a level are not one
+    contiguous run."""
+    length = len(base)
+    trace = []
+    prev_word = base                 # word the current level retiles
+    prev_bounds = list(range(length + 1))   # letter index -> base coordinate
+    kept_lo, kept_hi = 0, length     # boundary-index clamp from kept tiles
+    for level, (parent, offset) in enumerate(chain, start=1):
+        lb = record_chain_boundaries(images, parent, offset)
+        bb = [prev_bounds[p] if kept_lo <= p <= kept_hi else None
+              for p in lb]
+        lo, hi = unit * level, length - unit * level
+        cuts = tuple(b for b in bb if b is not None and lo <= b <= hi)
+        tiles = []
+        kept_idx = []
+        for j, a in enumerate(parent):
+            b, e = bb[j], bb[j + 1]
+            if (b is not None and b > hi) or (e is not None and e < lo):
+                continue
+            # a tile reaching past the known letters is kept only when its
+            # visible fragment forces the letter
+            left_hidden = lb[j] < kept_lo
+            right_hidden = lb[j + 1] > kept_hi
+            if left_hidden or right_hidden:
+                p, q = max(lb[j], kept_lo), min(lb[j + 1], kept_hi)
+                visible = prev_word[p:q]
+                if not recognize._letter_forced(images, visible, left_hidden,
+                                                right_hidden):
+                    continue
+            tiles.append((b, e, a))
+            kept_idx.append(j)
+        if kept_idx and kept_idx != list(range(kept_idx[0], kept_idx[-1] + 1)):
+            raise AssertionError("kept tiles must form a contiguous run")
+        trace.append((cuts, tuple(tiles)))
+        prev_word = parent
+        prev_bounds = bb
+        if kept_idx:
+            kept_lo, kept_hi = kept_idx[0], kept_idx[-1] + 1
+        else:
+            kept_lo, kept_hi = 0, -1     # nothing located: starve next level
+    return trace

@@ -20,7 +20,8 @@ from adicshift.recognize import (
     one_word_tilings,
     recognize_window,
 )
-from oracles import brute_tilings, bucketed_parent_in_language
+from oracles import (brute_tilings, bucketed_parent_in_language,
+                     record_chain_recognize_window)
 from strategies import (CHACON, DOUBLING, FIBONACCI, THUE_MORSE, TWO_BLOCK,
                         substitutions)
 
@@ -287,6 +288,16 @@ def test_recognize_window_agrees_with_bucketed_language(s, monkeypatch):
         assert engine[-1].note == "chains disagree on the interior"
 
 
+def test_chain_budget_refusal():
+    # "aaaa" has two level-1 tilings under a -> aa: one chain too many
+    assert len(one_word_tilings(DOUBLING, "aaaa")) == 2
+    report = recognize_window(DOUBLING, "aaaa", 1, chain_budget=1)
+    assert isinstance(report, AmbiguityReport)
+    assert (report.level, report.interior, report.note) == (
+        1, (2, 2), "chain budget exceeded")
+    assert report.tilings == ()
+
+
 def test_chain_expansions_match_window():
     w = central_window(expand(CHACON, "0", 6), 40)
     chain = recognize_window(CHACON, w, 2)
@@ -374,6 +385,55 @@ def test_multi_character_letters_parse_as_their_renaming(
         st.integers(0, len(window)))
     assert (core_membership(t, Word(rename(window), marker), depth)
             == core_membership(s, Word(window, marker), depth))
+
+
+def _result(f, *args):
+    try:
+        return f(*args)
+    except (WindowTooShort, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=80, deadline=None)
+@given(renamings(), st.integers(0, 200), st.integers(2, 32), st.integers(1, 3),
+       st.sampled_from([1, 3, 1000]))
+def test_encoded_chains_match_record_chain_engine(renaming, start, radius,
+                                                  depth, budget):
+    # every field of every result, on a substitution and on its renaming
+    s, labels = renaming
+    text = (s.alphabet[0],)
+    for _ in range(12):
+        if len(text) >= start + 2 * radius + 1:
+            break
+        text = expand(s, text, 1)
+    window = text[start:start + 2 * radius + 1] or text[-2 * radius - 1:]
+    t = _renamed(s, labels)
+    for sub, w in ((s, window), (t, tuple(map(labels.get, window)))):
+        assert (_result(recognize_window, sub, w, depth, budget)
+                == _result(record_chain_recognize_window, sub, w, depth,
+                           budget))
+
+
+@pytest.mark.parametrize("s", ORACLE_PANEL.values(), ids=ORACLE_PANEL.keys())
+def test_encoded_chains_match_record_chain_engine_on_panel(s):
+    # unique chains, reports at every level up to 4, windows too short, and
+    # (Chacon at depth 4) a level that keeps no tile before the last one
+    rng = random.Random(11)
+    text = expand(s, (s.alphabet[0],), 1)
+    while len(text) < 3_000:
+        text = expand(s, text, 1)
+    cases = []
+    for length in (17, 33, 65, 129):
+        for _ in range(12):
+            i = rng.randrange(len(text) - length)
+            cases.append((text[i:i + length], rng.randint(1, 4)))
+    if s is FIBONACCI:
+        cases.append((expand(s, "a", 12)[166:231], 3))
+    if s is CHACON:
+        cases.append((tuple("0s00s0s00s000s0s00s000s000s0s00s000s000"), 4))
+    for w, depth in cases:
+        assert (_result(recognize_window, s, w, depth)
+                == _result(record_chain_recognize_window, s, w, depth))
 
 
 # ---------------------------------------------------------------------------

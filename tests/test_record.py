@@ -62,6 +62,22 @@ class RTable:
         object.__setattr__(self, "heights", dict(self.heights))
 
 
+@dataclass(frozen=True)
+class DKeyed:
+    name: str
+
+    def __hash__(self):
+        return len(self.name)
+
+
+@record
+class RKeyed:
+    name: str
+
+    def __hash__(self):
+        return len(self.name)
+
+
 # the table twins hold a dict, so they are frozen but cannot hash
 HASHABLE = [(DPoint, RPoint, ("a",)), (DPoint, RPoint, ("b", 5))]
 TWINS = HASHABLE + [(DTable, RTable, ({"x": 1},)),
@@ -177,3 +193,14 @@ def test_package_records_hash_as_their_field_tuples():
     assert hash(s) == hash((("a", "b"), (("a", "b"), ("a",))))
     assert hash(Word(("a",))) == hash((("a",), None))
     assert hash(FinitePath(1, "a", (0,))) == hash((1, "a", (0,)))
+
+
+def test_a_hash_the_class_defines_is_kept():
+    for cls in (DKeyed, RKeyed):
+        assert hash(cls("abc")) == 3 and cls("abc") == cls("abc")
+        assert cls("abc") != cls("xyz")
+    s = parse_substitution("a -> ab\nb -> a")
+    assert hash(s) == hash((s.alphabet, s.images)) == hash(s)
+    # the cached hash stays behind: a string hash differs between processes
+    back = pickle.loads(pickle.dumps(s))
+    assert back == s and "_hash" not in vars(back)
