@@ -85,10 +85,9 @@ def _walk_tables(s: Substitution):
 
 
 @lru_cache(maxsize=1 << 12)
-def _tiling_walk(s: Substitution, word: str, interior_only: bool,
-                 budgeted: bool):
+def _tiling_walk(s: Substitution, word: str, budgeted: bool):
     """Every (encoded parent, offset) tiling of the encoded word by images,
-    as a frozenset; see one_word_tilings for the two modes.
+    the end tiles possibly clipped, as a frozenset.
 
     The walk extends partial covers with an explicit stack, so long words
     never meet the recursion limit.  A budgeted walk returns None when it
@@ -104,21 +103,17 @@ def _tiling_walk(s: Substitution, word: str, interior_only: bool,
     budget = _POPS_PER_LETTER * n if budgeted else inf
 
     # partial covers (next position, encoded parent, offset in first tile)
-    if interior_only:
-        stack = [(0, "", 0)]
-    else:
-        stack = []
-        for a, img in images.items():
-            for offset in range(len(img)):
-                k = len(img) - offset
-                if k >= n:
-                    # single-tile cover: the word sits inside one image
-                    if img.startswith(word, offset):
-                        found.add((a, offset))
-                elif word.startswith(img[offset:]):
-                    stack.append((k, a, offset))
-    # exact middle tiles, then an exact or (unless interior_only) clipped
-    # last tile
+    stack = []
+    for a, img in images.items():
+        for offset in range(len(img)):
+            k = len(img) - offset
+            if k >= n:
+                # single-tile cover: the word sits inside one image
+                if img.startswith(word, offset):
+                    found.add((a, offset))
+            elif word.startswith(img[offset:]):
+                stack.append((k, a, offset))
+    # exact middle tiles, then an exact or clipped last tile
     while stack:
         budget -= 1
         if budget < 0:
@@ -131,7 +126,7 @@ def _tiling_walk(s: Substitution, word: str, interior_only: bool,
                     found.add((parent + a, offset))
                 elif short is None or (parent + a)[-_SHORT:] in short:
                     stack.append((end, parent + a, offset))
-            elif not interior_only and end > n and img.startswith(word[pos:]):
+            elif end > n and img.startswith(word[pos:]):
                 found.add((parent + a, offset))
     if budgeted and len(found) > n:
         return None
@@ -178,7 +173,7 @@ def _parent_in_language(s: Substitution, enc: str) -> bool:
             elif w[:_SHORT] not in short or w[-_SHORT:] not in short:
                 answers[w] = False     # the language is closed under factors
             else:
-                found = _tiling_walk(s, w, False, True)
+                found = _tiling_walk(s, w, True)
                 if found is None or any(len(p) >= len(w) for p, _ in found):
                     cap = -(-len(w) // _SHORT) * _SHORT
                     answers[w] = w in factor_language(s, cap).encoded
@@ -202,12 +197,12 @@ def _parent_in_language(s: Substitution, enc: str) -> bool:
     return answers[enc]
 
 
-def _tilings(s: Substitution, word: str, interior_only: bool = False):
+def _tilings(s: Substitution, word: str):
     """The (encoded parent, offset) tilings of the encoded word whose parents
     lie in the language, in one_word_tilings' order."""
-    found = _tiling_walk(s, word, interior_only, True)
+    found = _tiling_walk(s, word, True)
     if found is None:
-        found = _tiling_walk(s, word, interior_only, False)
+        found = _tiling_walk(s, word, False)
     _, _, short, lengths = _walk_tables(s)
     if short is not None:
         found = [f for f in found if _parent_in_language(s, f[0])]
@@ -225,7 +220,8 @@ def _tiling(s: Substitution, lengths, parent: str, offset: int, n: int):
 
 def one_word_tilings(s: Substitution, window, interior_only: bool = False):
     """All tilings of the window by {sigma(a)}; clipped end tiles are allowed
-    unless interior_only, which demands an exact cover (offset 0, exact end).
+    unless interior_only, which keeps the exact covers: the clipped covers
+    with offset 0 whose last tile ends at the window's end.
 
     Parents are kept only when they lie in the factor language, which
     _parent_in_language decides by desubstituting them in turn -- except
@@ -236,9 +232,12 @@ def one_word_tilings(s: Substitution, window, interior_only: bool = False):
     word = s.encode(window.letters if isinstance(window, Word) else window)
     if not word:
         raise ValueError("window must be nonempty")
-    lengths = _walk_tables(s)[3]
-    return [_tiling(s, lengths, parent, offset, len(word))
-            for parent, offset in _tilings(s, word, interior_only)]
+    n, lengths = len(word), _walk_tables(s)[3]
+    tilings = [_tiling(s, lengths, parent, offset, n)
+               for parent, offset in _tilings(s, word)]
+    if interior_only:
+        return [t for t in tilings if t.offset == 0 and t.cuts[-1] == n]
+    return tilings
 
 
 # ---------------------------------------------------------------------------
@@ -295,48 +294,35 @@ def _annotate_chain(images, lengths, chain, base: str, unit):
     and letters of the run kept for the next level: located tiles meeting
     the clipped interior, and end tiles past the known letters whose
     fragment forces the letter.  Boundaries increase, so with -inf and inf
-    for unknown ones cuts and run are bisected out.  After a level keeps no
-    tile, a tile is kept when it lies under the last run or its fragment
-    forces the letter (read up to the parent's last letter, no run kept)."""
+    for unknown ones cuts and run are bisected out.  A level that keeps no
+    tile starves every later one: they read ((), (), "")."""
     length, trace = len(base), []
     # the letters kept last, their bounds, where they start in the parent
     word, at, shift, end = base, range(length + 1), 0, length
     for level, (parent, offset) in enumerate(chain, start=1):
         lb = _tile_boundaries(lengths, parent, offset + shift)
         lo, hi = unit * level, length - unit * level
-        if at is not None:
-            i, k = bisect_left(lb, 0), bisect_right(lb, end)
-            bb = (lb[i:k] if level == 1 else     # base coordinates already
-                     list(map(at.__getitem__, lb[i:k])))
-            a, b = bisect_left(bb, lo), bisect_right(bb, hi)
-            cuts = tuple(bb[a:b])
-            first, last = max(i + a - 1, 0), min(i + b, len(parent)) - 1
-            if first <= last and first < i and not _letter_forced(
-                    images, word[:lb[first + 1]], True, first + 1 >= k):
-                first += 1
-            if first <= last and last + 1 >= k and not _letter_forced(
-                    images, word[max(lb[last], 0):], last < i, True):
-                last -= 1
-            at = ([-inf] * (first < i) + bb[max(first - i, 0):last + 2 - i]
-                  + [inf] * (last + 1 >= k)) if first <= last else None
-            bounds = at and (None if at[0] == -inf else at[0], *at[1:-1],
-                             None if at[-1] == inf else at[-1])
-        else:
-            cuts = ()
-            kept = [j for j in range(len(parent))
-                    if 0 <= lb[j] and lb[j + 1] <= end or _letter_forced(
-                        images, word[max(lb[j], 0):min(lb[j + 1], end)],
-                        lb[j] < 0, lb[j + 1] > end)]
-            if kept and kept[-1] - kept[0] >= len(kept):
-                raise AssertionError("kept tiles must form a contiguous run")
-            first, last = (kept[0], kept[-1]) if kept else (0, -1)
-            bounds = (None,) * (last - first + 2)
-        letters = parent[first:last + 1]
-        if letters:
-            word, shift, end = letters, first, len(letters)
-        else:           # the next level reads the whole parent
-            bounds, word, at, shift, end = (), parent, None, 0, -1
-        trace.append((cuts, bounds, letters))
+        i, k = bisect_left(lb, 0), bisect_right(lb, end)
+        bb = (lb[i:k] if level == 1 else     # base coordinates already
+              list(map(at.__getitem__, lb[i:k])))
+        a, b = bisect_left(bb, lo), bisect_right(bb, hi)
+        cuts = tuple(bb[a:b])
+        first, last = max(i + a - 1, 0), min(i + b, len(parent)) - 1
+        if first <= last and first < i and not _letter_forced(
+                images, word[:lb[first + 1]], True, first + 1 >= k):
+            first += 1
+        if first <= last and last + 1 >= k and not _letter_forced(
+                images, word[max(lb[last], 0):], last < i, True):
+            last -= 1
+        if first > last:     # no tile kept: every later level starves
+            return (*trace, (cuts, (), ""),
+                    *[((), (), "")] * (len(chain) - level))
+        at = ([-inf] * (first < i) + bb[max(first - i, 0):last + 2 - i]
+              + [inf] * (last + 1 >= k))
+        bounds = (None if at[0] == -inf else at[0], *at[1:-1],
+                  None if at[-1] == inf else at[-1])
+        word, shift, end = parent[first:last + 1], first, last + 1 - first
+        trace.append((cuts, bounds, word))
     return tuple(trace)
 
 

@@ -22,9 +22,11 @@ from adicshift import (TOP, AmbiguityReport, ChainLevel, CompatibleWitness,
                        expand, expansion_lengths, factor_language, norms,
                        one_word_tilings, shift_down_path)
 from adicshift.constructions import (_FRONT_BUDGET, MinimalComponent,
-                                     _junction_ok)
+                                     MPrimitiveDecomposition, NotMPrimitive,
+                                     _is_primitive, _junction_ok)
 from adicshift.diagrams import _deepen_maximal, _wrap_maximal
-from adicshift.words import _cycle, _window_closure, as_letters
+from adicshift.words import (_cycle, _reach, _shortlex, _window_closure,
+                             as_letters)
 
 
 def naive_factors(s, cap, depth):
@@ -660,9 +662,9 @@ def record_chain_tilings(s, window):
     n = len(word)
     if n == 0:
         raise ValueError("window must be nonempty")
-    found = recognize._tiling_walk(s, word, False, True)
+    found = recognize._tiling_walk(s, word, True)
     if found is None:
-        found = recognize._tiling_walk(s, word, False, False)
+        found = recognize._tiling_walk(s, word, False)
     images, _, short, _ = recognize._walk_tables(s)
     if short is not None:
         found = {(p, off) for (p, off) in found
@@ -714,7 +716,7 @@ def record_chain_annotate(images, chain, base, unit):
             right_hidden = lb[j + 1] > kept_hi
             if left_hidden or right_hidden:
                 p, q = max(lb[j], kept_lo), min(lb[j + 1], kept_hi)
-                visible = prev_word[p:q]
+                visible = prev_word[p:max(p, q)]
                 if not recognize._letter_forced(images, visible, left_hidden,
                                                 right_hidden):
                     continue
@@ -730,3 +732,44 @@ def record_chain_annotate(images, chain, base, unit):
         else:
             kept_lo, kept_hi = 0, -1     # nothing located: starve next level
     return trace
+
+
+def powers_checked_m_primitive(s, scale=8):
+    """is_m_primitive as it was: after the block test and the realized
+    letters, it also compares factor_language(s, scale) with the languages
+    of s.power(2) and s.power(3) and refuses a factor that a power loses."""
+    idx = s._index
+    succ = {a: set(s.image(a)) for a in s.alphabet}
+    reach = _reach(succ)
+    classes = {a: tuple(b for b in s.alphabet
+                        if b in reach[a] and a in reach[b])
+               for a in s.alphabet}
+    blocks = [comp for a, comp in classes.items()
+              if len(comp) >= 2 and comp[0] == a and reach[a] == set(comp)
+              and _is_primitive(succ, comp)]
+
+    block_letters = {a for comp in blocks for a in comp}
+    for a in s.alphabet:
+        if a in block_letters:
+            continue
+        if not (reach[a] & block_letters):
+            trapped = tuple(sorted({a} | reach[a], key=idx.get))
+            return NotMPrimitive(
+                f"letters reachable from {a!r} close up into {trapped}, "
+                "which contains no primitive block")
+
+    lang = factor_language(s, scale)
+    for a in s.alphabet:
+        if (a,) not in lang:
+            return NotMPrimitive(f"letter {a!r} never occurs in the language")
+    for k in (2, 3):
+        power_lang = factor_language(s.power(k), scale)
+        # s.power(k) keeps the alphabet order, hence the encoding
+        missing = lang.encoded - power_lang.encoded
+        if missing:
+            sample = "".join(s.decode(min(missing, key=_shortlex)))
+            return NotMPrimitive(
+                f"power {k} loses the factor {sample!r} at scale {scale}")
+
+    transient = tuple(a for a in s.alphabet if a not in block_letters)
+    return MPrimitiveDecomposition(tuple(blocks), transient, scale)

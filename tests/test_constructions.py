@@ -51,7 +51,8 @@ from adicshift.constructions import _grown_factors
 from adicshift.symbols import _tower_heights
 from adicshift.words import _downward
 from oracles import (naive_seed_factors, per_seed_census, phase_walk_factors,
-                     primitive_blocks, whole_front_return_words)
+                     powers_checked_m_primitive, primitive_blocks,
+                     whole_front_return_words)
 from strategies import (CHACON, DOUBLING, FIBONACCI, IDENTITY, THUE_MORSE as TM,
                         TWO_BLOCK, chacon_like, substitutions)
 
@@ -540,6 +541,15 @@ def test_m_primitive_blocks_match_matrix_powers(s):
     # the block test fails exactly when some letter reaches no block
     assert bool(stranded) == (isinstance(verdict, NotMPrimitive)
                               and "no primitive block" in verdict.reason)
+
+
+@settings(max_examples=150, deadline=None)
+@given(substitutions(max_letters=4, max_image=4), st.integers(1, 10))
+def test_m_primitive_matches_powers_checked_oracle(s, scale):
+    # once every letter is realized, L(sigma^2) and L(sigma^3) equal
+    # L(sigma) at every cap, so the power check never decided a verdict
+    assert (repr(is_m_primitive(s, scale))
+            == repr(powers_checked_m_primitive(s, scale)))
 
 
 # ---------------------------------------------------------------------------

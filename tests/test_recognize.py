@@ -102,9 +102,11 @@ def test_tilings_match_oracle_random(s, data):
     base = expand(s, (data.draw(st.sampled_from(s.alphabet)),), 4)
     i = data.draw(st.integers(0, max(0, len(base) - 1)))
     length = data.draw(st.integers(1, 10))
+    interior_only = data.draw(st.booleans())
     w = base[i:i + length]
-    engine = [(t.parent, t.offset) for t in one_word_tilings(s, w)]
-    assert engine == brute_tilings(s, w)
+    engine = [(t.parent, t.offset)
+              for t in one_word_tilings(s, w, interior_only)]
+    assert engine == brute_tilings(s, w, interior_only)
 
 
 @settings(max_examples=40, deadline=None)
@@ -244,6 +246,15 @@ def test_recognize_identity_all_offsets_zero():
 def test_recognize_window_too_short():
     with pytest.raises(WindowTooShort):
         recognize_window(CHACON, "00", 1)
+
+
+def test_starved_level_starves_every_later_level():
+    # level 3 of every chain keeps no tile, so level 4 reads nothing and
+    # the chains cannot disagree there
+    w = "0s00s0s00s000s0s00s000s000s0s00s000s000"
+    with pytest.raises(WindowTooShort, match=(
+            "no level tile meets the clipped interior; enlarge the radius")):
+        recognize_window(CHACON, w, 4)
 
 
 def test_recognize_nested_partitions():
