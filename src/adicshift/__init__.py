@@ -27,9 +27,8 @@ _EXPORTS = {
         "periodicity_witness_search", "short_block_bound", "sorted_words",
     ),
     "recognize": (
-        "AmbiguityReport", "ChainLevel", "ParseChain", "Tiling", "TowerTable",
-        "chain_cut_positions", "kr_tower_heights", "one_word_tilings",
-        "recognize_window",
+        "AmbiguityReport", "ChainLevel", "ParseChain", "Tiling",
+        "one_word_tilings", "recognize_window",
     ),
     "constructions": (
         "EncodedSystem", "MarkedWord", "MinimalComponent",
@@ -51,9 +50,9 @@ _EXPORTS = {
         "lambda_seeds", "lambda_window", "m0_window",
     ),
     "symbols": (
-        "CompatibleWitness", "DepthReport", "EventualPeriod",
-        "JSequenceWindow", "JSymbol", "NoneWithinBudget", "box_matrix_text",
-        "build_j_symbol", "depth_and_cuts", "eventually_periodic_check",
+        "CompatibleWitness", "EventualPeriod", "JSequenceWindow", "JSymbol",
+        "NoneWithinBudget", "agreement_depth", "box_matrix_text",
+        "build_j_symbol", "eventually_periodic_check",
         "expansiveness_witness_search", "path_window", "shift_down_path",
         "tower_rank", "window_from_parse",
     ),

@@ -181,7 +181,7 @@ def _cmd_build_diagram(s, args):
     from .diagrams import export_dot
 
     d = _diagram(s, args.method)
-    if args.format == "dot":
+    if getattr(args, "format", "dot") == "dot":
         return [export_dot(d.unroll(args.depth))]
     lines = [f"vertices: {len(d.alphabet)}"]
     for v in d.alphabet:
@@ -280,13 +280,6 @@ def _cmd_lambda(s, args):
     return lines
 
 
-def _cmd_export(s, args):
-    from .diagrams import export_dot
-
-    d = _diagram(s, args.method)
-    return [export_dot(d.unroll(args.depth))]
-
-
 # ---------------------------------------------------------------------------
 # wiring
 
@@ -307,7 +300,7 @@ _COMMANDS = {
     "recognize": (_cmd_recognize, "parse a central window of the fixed point"),
     "jsymbol": (_cmd_jsymbol, "box matrices of the letter towers"),
     "lambda": (_cmd_lambda, "boundary seeds, their windows, core checks"),
-    "export": (_cmd_export, "DOT text of the unrolled diagram"),
+    "export": (_cmd_build_diagram, "DOT text of the unrolled diagram"),
 }
 
 _FLAGS = {

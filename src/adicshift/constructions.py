@@ -43,7 +43,6 @@ from .words import (
     _shortlex,
     _spell,
     _window_closure,
-    _windows,
     classify_letters,
     expansion_lengths,
     factor_language,
@@ -237,7 +236,10 @@ class MinimalComponent:
     """Seeds whose one-sided fixed points share a factor set (at the given
     scale), plus the canonical junction pair: a letter whose expansions end
     with itself (left marker) against one whose expansions start with itself
-    (right marker), both staying inside the component."""
+    (right marker), both staying inside the component.  A pair (r, l)
+    stays inside once rl is a factor: sigma^period fixes l's point, so its
+    language is sigma^period-invariant and holds every factor of
+    sigma^(period*n)(rl)."""
 
     seeds: tuple[str, ...]
     pair: tuple[str, str] | None
@@ -264,28 +266,6 @@ def _within(words, windows) -> bool:
     return all(w in windows or any(w in x for x in windows) for w in words)
 
 
-def _junction_ok(s: Substitution, power: int, r: str, l: str, factors,
-                 cap: int) -> bool:
-    """Does the two-sided point glued from r's left tail and l's right tail
-    stay inside the encoded `factors`?  Checks the windows that straddle the
-    junction; the two one-sided tails are checked separately by the caller.
-
-    Tails grow under sigma^power, applied one sigma at a time and re-clipped
-    (a suffix expands to a suffix, a prefix to a prefix), so long periods
-    never materialise huge images.
-    """
-    tail, head = s.encode((r,)), s.encode((l,))
-    for _ in range(cap * (len(s.alphabet) + 2)):
-        if len(tail) >= cap and len(head) >= cap:
-            break
-        for _ in range(power):
-            tail = tail.translate(s._table)[-cap:]
-            head = head.translate(s._table)[:cap]
-    # the longest windows across the junction are enough
-    left, right = tail[max(0, len(tail) - cap + 1):], head[:cap - 1]
-    return not (left and right) or _within(_windows(left + right, cap), factors)
-
-
 def minimal_components(s: Substitution, scale: int = 8):
     """Scale-bounded component census from one-letter fixed seeds.
 
@@ -293,12 +273,16 @@ def minimal_components(s: Substitution, scale: int = 8):
     some expansion power starts with the seed again).  One _grown_factors
     per cycle (a, f(a), ...) of length p, stepping by p, costs about its
     distinct scale-length windows: sigma^k of a's sigma^p-fixed point is
-    f^k(a)'s, so phase k is f^k(a)'s factor set, also when stepping by a
-    multiple of p.  Seeds with equal factor sets share a component; a seed
-    whose factor set strictly contains another's is discarded, since its
-    limit point already accumulates on the smaller system.  Within each
-    component the junction pair is the lexicographically least (left,
-    right) marker pair whose glued point stays inside the component.
+    f^k(a)'s, so phase k is f^k(a)'s factor set.  Seeds with equal factor
+    sets share a component; a seed whose factor set strictly contains
+    another's is discarded, since its limit point already accumulates on
+    the smaller system.  Within each
+    component the junction pair is the lexicographically least (left r,
+    right l) marker pair with rl in the component's factor set.  That
+    alone keeps the glued point inside: with p the pair's period, sigma^p
+    fixes l's point u_l, so L(u_l) is closed under sigma^p, and each factor
+    of sigma^(pn)(rl), r's left tail and every window across the junction
+    alike, lies in L(u_l).
     """
     long = classify_letters(s).long
     first = {a: s.image(a)[0] for a in s.alphabet}
@@ -325,14 +309,8 @@ def minimal_components(s: Substitution, scale: int = 8):
         # both lists run in alphabet order, so the first fit is the least
         best = None, None
         for (r, pr), l in itertools.product(left_candidates, g):
-            p = lcm(pr, len(cycles[l]))
-            if (_within((s.encode((r, l)),), factors)
-                    and _within(fact[r] if r in cycles
-                                and p % len(cycles[r]) == 0
-                                else _grown_factors(s, (r,), scale, p)[0],
-                                factors)
-                    and _junction_ok(s, p, r, l, factors, scale)):
-                best = (r, l), p
+            if _within((s.encode((r, l)),), factors):
+                best = (r, l), lcm(pr, len(cycles[l]))
                 break
         out.append(MinimalComponent(tuple(g), *best, scale))
     return tuple(out)

@@ -26,7 +26,6 @@ from .words import (
     Word,
     as_letters,
     expand,
-    expansion_lengths,
     factor_language,
 )
 
@@ -388,30 +387,3 @@ def recognize_window(s: Substitution, window, n: int, chain_budget: int = 1000):
                 "no level tile meets the clipped interior; enlarge the radius")
         levels.append(ChainLevel(s.decode(letters), bounds))
     return ParseChain(base, tuple(levels))
-
-
-def chain_cut_positions(chain: ParseChain, level: int):
-    """Level tile boundaries in base coordinates (None beyond the frame)."""
-    if not 1 <= level <= len(chain.levels):
-        raise ValueError("level out of range")
-    return chain.levels[level - 1].bounds
-
-
-# ---------------------------------------------------------------------------
-# tower bookkeeping
-
-
-@record
-class TowerTable:
-    """Heights |sigma^n(a)| of the level-n tower over each letter whose
-    cylinder is nonempty (the letter occurs in the language)."""
-    heights: dict[str, int]
-    level: int
-
-
-def kr_tower_heights(s: Substitution, n: int) -> TowerTable:
-    if n < 0:
-        raise ValueError("level must be >= 0")
-    lang = factor_language(s, 3)
-    lengths = expansion_lengths(s, n)
-    return TowerTable({a: lengths[a] for a in s.alphabet if (a,) in lang}, n)

@@ -1,5 +1,5 @@
 """Layered box matrices over towers: j-symbols, finite j-sequence windows,
-compatibility depth, common cuts, and the budgeted expansiveness search.
+their agreement depth, and the budgeted expansiveness search.
 
 A j-symbol is the column-aligned matrix of a tower: row j is one box, row
 j-1 the boxes it expands into one level down, and so on to unit boxes at
@@ -342,34 +342,20 @@ class _TowerSlice:
 
 
 # ---------------------------------------------------------------------------
-# depth and cuts
+# agreement depth
 
 
-@record
-class DepthReport:
-    """depth: highest row on which the two windows fully agree (-1 when
-    even row 0 differs); common_cuts[i]: positions where both windows have
-    a row-i box boundary."""
-    depth: int
-    common_cuts: tuple[tuple[int, ...], ...]
-
-
-def _agreement_depth(w1: JSequenceWindow, w2: JSequenceWindow) -> int:
-    """Highest row up to which two windows on one span agree, or -1."""
+def agreement_depth(w1: JSequenceWindow, w2: JSequenceWindow) -> int:
+    """Highest row up to which two windows on one span agree, or -1 when
+    even row 0 differs."""
+    if w1.span != w2.span:
+        raise SpanMismatch(f"spans differ: {w1.span} vs {w2.span}")
     depth = -1
     for r1, r2 in zip(w1.rows, w2.rows):
         if r1 is not r2 and r1 != r2:
             break
         depth += 1
     return depth
-
-
-def depth_and_cuts(w1: JSequenceWindow, w2: JSequenceWindow) -> DepthReport:
-    if w1.span != w2.span:
-        raise SpanMismatch(f"spans differ: {w1.span} vs {w2.span}")
-    cuts = tuple(tuple(sorted(w1.cuts(i) & w2.cuts(i)))
-                 for i in range(min(w1.level, w2.level) + 1))
-    return DepthReport(_agreement_depth(w1, w2), cuts)
 
 
 # ---------------------------------------------------------------------------
@@ -449,7 +435,7 @@ def _common_depth(d, x: FinitePath, y: FinitePath, j: int, radius: int,
         if lo >= hi:
             return -1
         wx, wy = wx.clip(lo, hi), wy.clip(lo, hi)
-    return _agreement_depth(wx, wy)
+    return agreement_depth(wx, wy)
 
 
 def expansiveness_witness_search(d: StationaryOrderedDiagram, i: int,

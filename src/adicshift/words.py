@@ -205,12 +205,8 @@ def _spell(letters, alphabet) -> str:
 
 def as_letters(s: Substitution, w) -> tuple[str, ...]:
     """Normalize Word / str / sequence input to a tuple of letters over s."""
-    if isinstance(w, Word):
-        letters = w.letters
-    elif isinstance(w, str):
-        letters = tuple(w)  # only sensible for single-character alphabets
-    else:
-        letters = tuple(w)
+    # a str splits into characters: only sensible for one-character letters
+    letters = w.letters if isinstance(w, Word) else tuple(w)
     for a in letters:
         if a not in s._index:
             raise AlphabetError(f"letter {a!r} not in alphabet {s.alphabet}")

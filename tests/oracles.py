@@ -23,10 +23,10 @@ from adicshift import (TOP, AmbiguityReport, ChainLevel, CompatibleWitness,
                        one_word_tilings, shift_down_path)
 from adicshift.constructions import (_FRONT_BUDGET, MinimalComponent,
                                      MPrimitiveDecomposition, NotMPrimitive,
-                                     _is_primitive, _junction_ok)
+                                     _is_primitive, _within)
 from adicshift.diagrams import _deepen_maximal, _wrap_maximal
 from adicshift.words import (_cycle, _reach, _shortlex, _window_closure,
-                             as_letters)
+                             _windows, as_letters)
 
 
 def naive_factors(s, cap, depth):
@@ -520,6 +520,28 @@ def whole_front_return_words(s, comps, scale):
     vocabulary.update(dict.fromkeys(sorted(found,
                                            key=lambda w: (len(w), w))))
     return ReturnWordSystem(pairs, power, tuple(map(s.decode, vocabulary)))
+
+
+def _junction_ok(s: Substitution, power: int, r: str, l: str, factors,
+                 cap: int) -> bool:
+    """Does the two-sided point glued from r's left tail and l's right tail
+    stay inside the encoded `factors`?  Checks the windows that straddle the
+    junction; the two one-sided tails are checked separately by the caller.
+
+    Tails grow under sigma^power, applied one sigma at a time and re-clipped
+    (a suffix expands to a suffix, a prefix to a prefix), so long periods
+    never materialise huge images.
+    """
+    tail, head = s.encode((r,)), s.encode((l,))
+    for _ in range(cap * (len(s.alphabet) + 2)):
+        if len(tail) >= cap and len(head) >= cap:
+            break
+        for _ in range(power):
+            tail = tail.translate(s._table)[-cap:]
+            head = head.translate(s._table)[:cap]
+    # the longest windows across the junction are enough
+    left, right = tail[max(0, len(tail) - cap + 1):], head[:cap - 1]
+    return not (left and right) or _within(_windows(left + right, cap), factors)
 
 
 def per_seed_census(s, scale):

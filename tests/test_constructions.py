@@ -3,6 +3,7 @@ words, the derivative rule, and the structural predicates behind them."""
 
 import random
 import time
+from math import lcm
 from pathlib import Path
 
 import pytest
@@ -49,10 +50,10 @@ from adicshift import (classify_letters, factor_language,
 import adicshift.constructions as constructions
 from adicshift.constructions import _grown_factors
 from adicshift.symbols import _tower_heights
-from adicshift.words import _downward
-from oracles import (naive_seed_factors, per_seed_census, phase_walk_factors,
-                     powers_checked_m_primitive, primitive_blocks,
-                     whole_front_return_words)
+from adicshift.words import _cycle, _downward
+from oracles import (_junction_ok, naive_seed_factors, per_seed_census,
+                     phase_walk_factors, powers_checked_m_primitive,
+                     primitive_blocks, whole_front_return_words)
 from strategies import (CHACON, DOUBLING, FIBONACCI, IDENTITY, THUE_MORSE as TM,
                         TWO_BLOCK, chacon_like, substitutions)
 
@@ -320,6 +321,27 @@ def test_census_matches_per_seed_closures(s):
     for scale in (4, 8, 16):
         assert (repr(minimal_components(s, scale))
                 == repr(per_seed_census(s, scale)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(chacon_like(), substitutions()))
+def test_junction_factor_keeps_glued_point_inside(s):
+    # sigma^p fixes l's point, so its language is sigma^p-invariant: once
+    # rl is a factor, so are r's left tail and the windows across the junction
+    long = classify_letters(s).long
+    first = {a: s.image(a)[0] for a in s.alphabet}
+    last = {a: s.image(a)[-1] for a in s.alphabet}
+    rights = [(a, len(c)) for a in long if (c := _cycle(first, a))]
+    lefts = [(a, len(c)) for a in long if (c := _cycle(last, a))]
+    for scale in (4, 8, 16):
+        for l, pl in rights:
+            factors = phase_walk_factors(s, (l,), scale, pl)
+            for r, pr in lefts:
+                if s.encode((r, l)) not in factors:
+                    continue
+                p = lcm(pr, pl)
+                assert phase_walk_factors(s, (r,), scale, p) <= factors
+                assert _junction_ok(s, p, r, l, factors, scale)
 
 
 @settings(max_examples=60, deadline=None)

@@ -12,7 +12,7 @@ import adicshift
 PUBLIC = [
     "AlphabetError", "AmbiguityReport", "ChainLevel", "ChainPrefix",
     "CompatibleWitness", "CoreCheck", "CountExceedsImage",
-    "DecompositionFailure", "DepthReport", "DiagramError", "EncodedSystem",
+    "DecompositionFailure", "DiagramError", "EncodedSystem",
     "EventualPeriod", "ExtremalPaths", "FactorLanguage", "FinitePath",
     "GrammarError", "ImproperOrdering", "InsufficientGrowth",
     "JSequenceWindow", "JSymbol", "LambdaSeed", "LetterClassification",
@@ -22,14 +22,14 @@ PUBLIC = [
     "PeriodicLabels", "ProperWitness", "ReturnWordSystem", "ScaleTooSmall",
     "ShortLettersPresent", "SpanMismatch", "StationaryOrderedDiagram",
     "Substitution", "SymbolTooLarge", "TOP", "Tiling", "TooManyPaths",
-    "TowerTable", "Unbounded", "UnboundedShorts", "WindowTooShort", "Word",
-    "as_letters", "box_matrix_text", "build_j_symbol", "chain_cut_positions",
-    "classify_letters", "constructions", "core_membership", "depth_and_cuts",
+    "Unbounded", "UnboundedShorts", "WindowTooShort", "Word",
+    "agreement_depth", "as_letters", "box_matrix_text", "build_j_symbol",
+    "classify_letters", "constructions", "core_membership",
     "derivative_substitution", "diagram_via_derivative", "diagrams",
     "enumerate_paths", "errors", "eventually_periodic_check", "expand",
     "expansion_lengths", "expansiveness_witness_search", "export_dot",
     "extremal_paths", "factor_language", "incidence_matrix",
-    "is_m_primitive", "is_proper", "kr_tower_heights", "lambda_seeds",
+    "is_m_primitive", "is_proper", "lambda_seeds",
     "lambda_window", "m0_window", "maximal_path", "minimal_components",
     "minimal_path", "multi_edge_encoding", "nesting_class",
     "nesting_diagram", "nesting_matching_rule", "nesting_vocabulary",

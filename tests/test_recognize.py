@@ -1,5 +1,4 @@
-"""Window tilings, language membership, the parse-chain engine, and tower
-heights."""
+"""Window tilings, language membership and the parse-chain engine."""
 
 import random
 
@@ -15,8 +14,6 @@ from adicshift.recognize import (
     ChainLevel,
     ParseChain,
     Tiling,
-    chain_cut_positions,
-    kr_tower_heights,
     one_word_tilings,
     recognize_window,
 )
@@ -262,10 +259,8 @@ def test_recognize_nested_partitions():
     chain = recognize_window(CHACON, w, 3)
     assert isinstance(chain, ParseChain)
     for level in (2, 3):
-        fine = {c for c in chain_cut_positions(chain, level - 1)
-                if c is not None}
-        coarse = {c for c in chain_cut_positions(chain, level)
-                  if c is not None}
+        fine = {c for c in chain.levels[level - 2].bounds if c is not None}
+        coarse = {c for c in chain.levels[level - 1].bounds if c is not None}
         assert coarse <= fine
 
 
@@ -315,8 +310,7 @@ def test_chain_expansions_match_window():
     checked = 0
     for level in (1, 2):
         lvl = chain.levels[level - 1]
-        bounds = chain_cut_positions(chain, level)
-        assert bounds == lvl.bounds
+        bounds = lvl.bounds
         # each level tile's expansion matches the window over its visible span
         for letter, b, e in zip(lvl.parent, bounds, bounds[1:]):
             full = expand(CHACON, (letter,), level)
@@ -445,26 +439,3 @@ def test_encoded_chains_match_record_chain_engine_on_panel(s):
     for w, depth in cases:
         assert (_result(recognize_window, s, w, depth)
                 == _result(record_chain_recognize_window, s, w, depth))
-
-
-# ---------------------------------------------------------------------------
-# towers
-
-
-def test_tower_heights_level1():
-    t = kr_tower_heights(CHACON, 1)
-    assert t.heights == {"0": 4, "s": 1, "1": 4}
-    assert t.level == 1
-
-
-def test_tower_heights_level0():
-    assert kr_tower_heights(CHACON, 0).heights == {"0": 1, "s": 1, "1": 1}
-
-
-def test_tower_heights_level2():
-    assert kr_tower_heights(CHACON, 2).heights == {"0": 13, "s": 1, "1": 16}
-
-
-def test_tower_heights_skip_letters_outside_language():
-    s = parse_substitution("a -> b\nb -> b")
-    assert kr_tower_heights(s, 3).heights == {"b": 1}

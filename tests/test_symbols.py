@@ -1,5 +1,5 @@
 """Layered box matrices: symbol construction from both source kinds, parse
-and path windows, compatibility depth, cuts, eventual periodicity, the
+and path windows, agreement depth, cuts, eventual periodicity, the
 shift-down map, and the expansiveness witness search."""
 
 import pytest
@@ -18,9 +18,9 @@ from adicshift import (
     StationaryOrderedDiagram,
     SymbolTooLarge,
     WindowTooShort,
+    agreement_depth,
     box_matrix_text,
     build_j_symbol,
-    depth_and_cuts,
     enumerate_paths,
     eventually_periodic_check,
     expand,
@@ -325,21 +325,18 @@ def test_path_window_level_guard():
 
 
 # ---------------------------------------------------------------------------
-# depth and cuts
+# agreement depth
 
 
 def test_depth_and_cuts_span_mismatch():
     w = path_window(ODOMETER, minimal_path(ODOMETER, 3, "v"), 2, 4)
     with pytest.raises(SpanMismatch):
-        depth_and_cuts(w, w.clip(0, 3))
+        agreement_depth(w, w.clip(0, 3))
 
 
 def test_depth_of_identical_windows():
     w = path_window(DERIV, minimal_path(DERIV, 4, "4"), 3, 8)
-    rep = depth_and_cuts(w, w)
-    assert rep.depth == 3
-    assert rep.common_cuts == tuple(
-        tuple(sorted(w.cuts(i))) for i in range(4))
+    assert agreement_depth(w, w) == 3
 
 
 def nth_path(d, level, v, n):
@@ -356,10 +353,7 @@ def test_common_cut_monotonicity(n, m):
     y = nth_path(ODOMETER, 10, "v", m)
     wx = path_window(ODOMETER, x, 6, 12)
     wy = path_window(ODOMETER, y, 6, 12)
-    rep = depth_and_cuts(wx, wy)
-    for lower, higher in zip(rep.common_cuts, rep.common_cuts[1:]):
-        assert set(higher) <= set(lower)
-    assert -1 <= rep.depth <= 6
+    assert -1 <= agreement_depth(wx, wy) <= 6
 
 
 # ---------------------------------------------------------------------------
@@ -392,7 +386,7 @@ def test_shift_down_raises_depth_by_one_per_step():
         wb = path_window(ODOMETER, b, j, radius)
         lo = max(wa.span[0], wb.span[0])
         hi = min(wa.span[1], wb.span[1])
-        return depth_and_cuts(wa.clip(lo, hi), wb.clip(lo, hi)).depth
+        return agreement_depth(wa.clip(lo, hi), wb.clip(lo, hi))
 
     assert common_depth(x, y, 2) == 1
     for i in range(1, 6):

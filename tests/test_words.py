@@ -111,6 +111,9 @@ def test_expand_composes(s, data, m, n):
 
 
 def test_norms():
+    assert [expansion_lengths(CHACON, n) for n in range(3)] == [
+        {"0": 1, "s": 1, "1": 1}, {"0": 4, "s": 1, "1": 4},
+        {"0": 13, "s": 1, "1": 16}]
     assert norms(CHACON, 1) == (1, 4)
     assert norms(CHACON, 2) == (1, 16)
     assert norms(IDENTITY, 7) == (1, 1)
