@@ -14,7 +14,7 @@ from importlib import import_module
 _EXPORTS = {
     "errors": (
         "AlphabetError", "CountExceedsImage", "DecompositionFailure",
-        "DiagramError", "GrammarError", "ImproperOrdering",
+        "DiagramError", "DomainError", "GrammarError", "ImproperOrdering",
         "InsufficientGrowth", "NoNesting", "ScaleTooSmall",
         "ShortLettersPresent", "SpanMismatch", "SymbolTooLarge",
         "TooManyPaths", "UnboundedShorts", "WindowTooShort",

@@ -4,10 +4,11 @@ Every subcommand is a pure function of the input file and the flags: the
 report is a sequence of ``key: value`` lines in a fixed order, so a rerun
 with the same inputs is byte-identical.  Exit codes: 0 on success, 2 on
 unusable input (bad grammar, unreadable file, bad flags), 3 when an
-operation fails for scale or structural reasons (a short window, a missing
-nesting structure, an unbounded short block, a box matrix over its size
-budget) -- those failures still print
-the report head plus an ``error:`` line, so the verdict is diffable too.
+operation fails for scale or structural reasons, that is on any
+``errors.DomainError`` (a short window, a missing nesting structure, an
+unbounded short block, a box matrix over its size budget) -- those failures
+still print the report head plus an ``error:`` line, so the verdict is
+diffable too.
 
 Each subcommand imports the library layers it runs inside its own body, so
 one call loads (and, without a bytecode cache, compiles) only those.
@@ -20,22 +21,12 @@ import hashlib
 import sys
 from typing import TYPE_CHECKING
 
-from .errors import (AlphabetError, CountExceedsImage, DecompositionFailure,
-                     DiagramError, GrammarError, ImproperOrdering,
-                     InsufficientGrowth, NoNesting, ScaleTooSmall,
-                     ShortLettersPresent, SpanMismatch, SymbolTooLarge,
-                     UnboundedShorts, WindowTooShort)
+from .errors import DomainError, InsufficientGrowth, UnboundedShorts
 from .words import _spell, parse_substitution
 
 if TYPE_CHECKING:
     from .diagrams import StationaryOrderedDiagram
     from .words import Substitution
-
-_INPUT_ERRORS = (GrammarError, AlphabetError, OSError, ValueError)
-_DOMAIN_ERRORS = (ScaleTooSmall, WindowTooShort, InsufficientGrowth,
-                  UnboundedShorts, NoNesting, CountExceedsImage,
-                  ShortLettersPresent, SpanMismatch, DecompositionFailure,
-                  ImproperOrdering, DiagramError, SymbolTooLarge)
 
 
 def _load(path: str) -> tuple[Substitution, str]:
@@ -369,29 +360,25 @@ def run(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     args = _build_parser(argv).parse_args(argv)
+    # raw DOT has no report head: the text must feed graphviz directly
+    raw_dot = (args.command == "export"
+               or getattr(args, "format", "report") == "dot")
     try:
         for flag, least in _LEAST.items():
             least = _LEAST_BY_COMMAND.get((args.command, flag), least)
             if getattr(args, flag, least) < least:
                 raise ValueError(f"--{flag} must be >= {least}")
         s, text = _load(args.sub)
-    except _INPUT_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    # raw DOT has no report head: the text must feed graphviz directly
-    raw_dot = (args.command == "export"
-               or getattr(args, "format", "report") == "dot")
-    lines = [] if raw_dot else _head(args, text)
-    try:
+        lines = [] if raw_dot else _head(args, text)
         lines.extend(_COMMANDS[args.command][0](s, args))
-    except _DOMAIN_ERRORS as exc:
+    except DomainError as exc:
         if raw_dot:
             print(f"error: {exc}", file=sys.stderr)
         else:
             lines.append(f"error: {exc}")
             print("\n".join(lines))
         return 3
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     print("\n".join(lines))

@@ -247,7 +247,6 @@ class MinimalComponent:
     scale: int
 
 
-@lru_cache(maxsize=256)
 def _grown_factors(s: Substitution, seed: tuple[str, ...], cap: int,
                    steps: int = 1):
     """Per phase k < steps, the factors (length <= cap) of the iterates
@@ -501,7 +500,6 @@ def is_proper(s: Substitution, p_max: int):
 class MPrimitiveDecomposition:
     blocks: tuple[tuple[str, ...], ...]
     transient: tuple[str, ...]
-    scale: int
 
     @property
     def m(self) -> int:
@@ -522,17 +520,16 @@ def _is_primitive(succ, block) -> bool:
     return all(p == set(block) for p in power.values())
 
 
-def is_m_primitive(s: Substitution, scale: int = 8):
+def is_m_primitive(s: Substitution):
     """Decompose the alphabet into primitive image-closed blocks plus letters
     feeding into them, or explain why that fails.
 
     The language conditions are that every letter is realized (occurs in
     L(sigma)) and that L(sigma^k) = L(sigma) for k >= 2.  The first is read
-    off factor_language(s, scale), and the result records that scale.  It
-    implies the second at every cap: each realized letter occurs in the
-    image of a realized letter, so for every j >= 0 a factor of
-    sigma^m(x), m >= 1, is a factor of some sigma^(m + j)(y); take j with
-    k | m + j.
+    off the one-letter factors, factor_language(s, 1).  It implies the
+    second at every cap: each realized letter occurs in the image of a
+    realized letter, so for every j >= 0 a factor of sigma^m(x), m >= 1,
+    is a factor of some sigma^(m + j)(y); take j with k | m + j.
     """
     idx = s._index
     succ = {a: set(s.image(a)) for a in s.alphabet}
@@ -556,20 +553,19 @@ def is_m_primitive(s: Substitution, scale: int = 8):
                 f"letters reachable from {a!r} close up into {trapped}, "
                 "which contains no primitive block")
 
-    lang = factor_language(s, scale)
+    lang = factor_language(s, 1)
     for a in s.alphabet:
         if (a,) not in lang:
             return NotMPrimitive(f"letter {a!r} never occurs in the language")
 
     transient = tuple(a for a in s.alphabet if a not in block_letters)
-    return MPrimitiveDecomposition(tuple(blocks), transient, scale)
+    return MPrimitiveDecomposition(tuple(blocks), transient)
 
 
 # ---------------------------------------------------------------------------
 # end-to-end pipeline
 
 
-@lru_cache(maxsize=64)
 def diagram_via_derivative(s: Substitution) -> StationaryOrderedDiagram:
     """Return-word route to a stationary ordered diagram: derivative rule as
     the read substitution, return-word lengths as the top multiplicities.

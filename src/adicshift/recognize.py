@@ -251,12 +251,6 @@ class ChainLevel:
     parent: tuple[str, ...]
     bounds: tuple
 
-    @property
-    def offset(self):
-        """Base coordinate where the level expansion begins (None when the
-        first tile starts left of the frame)."""
-        return self.bounds[0]
-
 
 @record
 class ParseChain:

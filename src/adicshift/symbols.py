@@ -14,6 +14,7 @@ from bisect import bisect_left, bisect_right
 from collections import Counter
 from functools import lru_cache
 from math import isqrt
+from typing import TYPE_CHECKING
 
 from ._record import record
 from .diagrams import (
@@ -24,8 +25,10 @@ from .diagrams import (
     read_substitution,
 )
 from .errors import AlphabetError, SpanMismatch, SymbolTooLarge, WindowTooShort
-from .recognize import ParseChain
 from .words import Substitution, expand
+
+if TYPE_CHECKING:
+    from .recognize import ParseChain
 
 # ---------------------------------------------------------------------------
 # symbols
@@ -222,17 +225,11 @@ def window_from_parse(s: Substitution, chain: ParseChain,
             f"radius {radius} exceeds the parsed window interior")
     rows = [tuple((a, k, k + 1) for k, a in enumerate(chain.base))]
     for i, lvl in enumerate(chain.levels, start=1):
-        # boundaries beyond the frame (None) clamp to the window's edges:
-        # leading ones to lo, trailing ones to hi
+        # only the end boundaries can lie beyond the frame (None); they
+        # clamp to the window's edges, the first to lo, the last to hi
         bounds = list(lvl.bounds)
-        for k in range(len(bounds)):
-            if bounds[k] is not None:
-                break
-            bounds[k] = lo
-        for k in range(len(bounds) - 1, -1, -1):
-            if bounds[k] is not None:
-                break
-            bounds[k] = hi
+        bounds[0] = lo if bounds[0] is None else bounds[0]
+        bounds[-1] = hi if bounds[-1] is None else bounds[-1]
         rows.append(tuple(
             ("".join(expand(s, (a,), i)), start, stop)
             for a, start, stop in zip(lvl.parent, bounds, bounds[1:])))
@@ -430,10 +427,9 @@ def _common_depth(d, x: FinitePath, y: FinitePath, j: int, radius: int,
     wx = _window(d, x, j, radius, cache)
     wy = _window(d, y, j, radius, cache)
     if wx.span != wy.span:
+        # both spans hold column 0, so the common span is never empty
         lo = max(wx.span[0], wy.span[0])
         hi = min(wx.span[1], wy.span[1])
-        if lo >= hi:
-            return -1
         wx, wy = wx.clip(lo, hi), wy.clip(lo, hi)
     return agreement_depth(wx, wy)
 

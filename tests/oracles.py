@@ -794,4 +794,4 @@ def powers_checked_m_primitive(s, scale=8):
                 f"power {k} loses the factor {sample!r} at scale {scale}")
 
     transient = tuple(a for a in s.alphabet if a not in block_letters)
-    return MPrimitiveDecomposition(tuple(blocks), transient, scale)
+    return MPrimitiveDecomposition(tuple(blocks), transient)

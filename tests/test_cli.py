@@ -42,6 +42,23 @@ def invoke(capsys, *argv):
 # exit codes
 
 
+def test_every_error_but_the_input_ones_exits_three():
+    import adicshift.errors as errors
+    classes = {name: cls for name, cls in vars(errors).items()
+               if isinstance(cls, type) and cls.__module__ == errors.__name__}
+    input_errors = {"GrammarError", "AlphabetError"}
+    for name, cls in classes.items():
+        if name in input_errors:
+            assert not issubclass(cls, errors.DomainError)
+            assert issubclass(cls, ValueError)
+        elif name != "DomainError":
+            assert issubclass(cls, errors.DomainError), name
+            base = RuntimeError if name == "ImproperOrdering" else ValueError
+            assert issubclass(cls, base), name
+    assert input_errors | {"DomainError", "ImproperOrdering",
+                           "TooManyPaths"} <= set(classes)
+
+
 def test_missing_file_is_input_error(capsys, tmp_path):
     code = run(["analyze", "--sub", str(tmp_path / "absent.sub")])
     assert code == 2
@@ -74,6 +91,10 @@ def test_unbounded_shorts_fail_classify(capsys, tmp_path):
     code, out = invoke(capsys, "classify", "--sub", str(path))
     assert code == 3
     assert "error:" in out
+    # analyze reports the missing bound as a line of its own
+    code, out = invoke(capsys, "analyze", "--sub", str(path))
+    assert code == 0
+    assert out.splitlines()[-1] == "short-block-bound: unbounded (cap 16)"
 
 
 def test_oversized_jsymbol_exits_three(capsys, chacon_file):
@@ -83,6 +104,26 @@ def test_oversized_jsymbol_exits_three(capsys, chacon_file):
     assert code == 3
     assert "command: jsymbol" in out
     assert "error: the level-40 symbol over '0'" in out
+
+
+def test_raw_dot_failure_prints_only_to_stderr(capsys, tmp_path):
+    path = tmp_path / "sas.sub"
+    path.write_text("a -> sas\ns -> s\n")  # no nesting class
+    code = run(["build-diagram", "--sub", str(path), "--method", "nesting",
+                "--format", "dot"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err == ("error: long-letter images neither all start "
+                            "nor all end with long letters\n")
+
+
+def test_body_value_error_exits_two(capsys, tm_file):
+    code = run(["lambda", "--sub", tm_file, "--radius", "0"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "error: radius must be >= 1\n"
 
 
 def test_fronts_that_never_close_exit_three(capsys, tmp_path):
@@ -251,6 +292,22 @@ def test_recognize_reports_cuts(capsys, chacon_file):
     assert "cuts 2: - 9 22 23 -" in out
 
 
+@pytest.mark.parametrize("argv, expected", [
+    (("periodic-check",), ["witness: ab", "repeated: 4"]),
+    (("recognize", "--radius", "8", "--depth", "2"),
+     ["verdict: ambiguous at level 1", "survivors: 2",
+      "note: chains disagree on the interior"]),
+])
+def test_periodic_input_reports_witness_and_ambiguity(capsys, tmp_path, argv,
+                                                      expected):
+    # sigma(a) = sigma(b) = ab: the fixed point is (ab)^infinity
+    path = tmp_path / "periodic.sub"
+    path.write_text("a -> ab\nb -> ab\n")
+    code, out = invoke(capsys, *argv, "--sub", str(path))
+    assert code == 0
+    assert out.splitlines()[-len(expected):] == expected
+
+
 def test_lambda_on_thue_morse_reports_four_consistent_seeds(capsys, tm_file):
     code, out = invoke(capsys, "lambda", "--sub", tm_file,
                        "--radius", "8", "--depth", "3")
@@ -311,7 +368,7 @@ LOADED = {
         "_record cli errors words",
     ("recognize",): "_record cli errors recognize words",
     ("lambda",): "_record cli errors phase recognize words",
-    ("jsymbol",): "_record cli diagrams errors recognize symbols words",
+    ("jsymbol",): "_record cli diagrams errors symbols words",
     ("nesting", "minimal", "return-words", "derive", "build-diagram", "read",
      "vershik", "export"): "_record cli constructions diagrams errors words",
 }

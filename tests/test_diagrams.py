@@ -178,6 +178,7 @@ def test_odometer_increment():
     p = FinitePath(3, "v", (1, 0, 0))
     assert vershik_successor(d, p) == FinitePath(3, "v", (0, 1, 0))
     assert vershik_successor(d, FinitePath(3, "v", (1, 1, 1))) is Maximal
+    assert repr(Maximal) == "Maximal"
 
 
 @settings(max_examples=30, deadline=None)

@@ -12,7 +12,7 @@ import adicshift
 PUBLIC = [
     "AlphabetError", "AmbiguityReport", "ChainLevel", "ChainPrefix",
     "CompatibleWitness", "CoreCheck", "CountExceedsImage",
-    "DecompositionFailure", "DiagramError", "EncodedSystem",
+    "DecompositionFailure", "DiagramError", "DomainError", "EncodedSystem",
     "EventualPeriod", "ExtremalPaths", "FactorLanguage", "FinitePath",
     "GrammarError", "ImproperOrdering", "InsufficientGrowth",
     "JSequenceWindow", "JSymbol", "LambdaSeed", "LetterClassification",

@@ -215,7 +215,7 @@ def test_recognize_chacon_depth1_unique():
     lvl = chain.levels[0]
     # the parse reproduces the window slice it claims to cover
     assert expand(CHACON, lvl.parent, 1) == tuple(
-        w[lvl.offset:lvl.offset + len(expand(CHACON, lvl.parent, 1))])
+        w[lvl.bounds[0]:lvl.bounds[0] + len(expand(CHACON, lvl.parent, 1))])
 
 
 def test_recognize_chacon_depth3_unique():
@@ -236,13 +236,20 @@ def test_recognize_identity_all_offsets_zero():
     for k in (1, 2, 5):
         chain = recognize_window(IDENTITY3, "abc", k)
         assert isinstance(chain, ParseChain)
-        assert [l.offset for l in chain.levels] == [0] * k
+        assert [l.bounds[0] for l in chain.levels] == [0] * k
         assert all(l.parent == ("a", "b", "c") for l in chain.levels)
 
 
 def test_recognize_window_too_short():
     with pytest.raises(WindowTooShort):
         recognize_window(CHACON, "00", 1)
+
+
+def test_non_language_window_has_no_tilings():
+    # b never follows b in the Fibonacci language
+    report = recognize_window(FIBONACCI, ("b",) * 9, 1)
+    assert report == AmbiguityReport(
+        1, (), (2, 7), "no tilings at all: not a language window")
 
 
 def test_starved_level_starves_every_later_level():

@@ -2,6 +2,8 @@
 and path windows, agreement depth, cuts, eventual periodicity, the
 shift-down map, and the expansiveness witness search."""
 
+import re
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -239,6 +241,13 @@ def test_window_projection_compatibility():
 def test_window_from_parse_radius_guard():
     with pytest.raises(WindowTooShort):
         window_from_parse(CHACON, chacon_chain(546), 33)
+    # a prefix of the fixed point: its level-1 tiles end short of the
+    # window's right edge
+    text = expand(CHACON, ("0",), 9)
+    chain = recognize_window(CHACON, text[:33], 1)
+    with pytest.raises(WindowTooShort, match=re.escape(
+            "level tiles cover [0, 31), short of the radius-16 window")):
+        window_from_parse(CHACON, chain, 16)
 
 
 def test_window_refinement_validation():

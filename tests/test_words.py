@@ -101,6 +101,8 @@ def test_expand_word_transport_marker():
     w = expand(CHACON, Word(("0", "1"), marker=1), 1)
     assert w.letters == tuple("00s00110")
     assert w.marker == 4
+    assert (str(w), len(w)) == ("00s0.0110", 8)
+    assert (str(Word(w.letters)), len(Word(w.letters))) == ("00s00110", 8)
 
 
 @settings(max_examples=60, deadline=None)
